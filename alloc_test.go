@@ -129,6 +129,49 @@ func TestTracingDisabledZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestEngineCacheHitAllocs guards the engine's by-spec cache hit. Keys
+// are comparable structs, so keying the spec and finding its current
+// handle allocates nothing. The whole of BenchmarkEngineAccessRange's
+// loop (hit plus a 64-answer window into a reused buffer) stays within
+// 3 allocations: it is 0 too, but under -race sync.Pool drops the
+// pooled probe buffer at random.
+func TestEngineCacheHitAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	_, in := workload.TwoPath(rng, 1<<13, 1<<10, 0.3)
+	e := engine.New(in, engine.Options{})
+	spec := engine.Spec{Query: "Q(x, y, z) :- R(x, y), S(y, z)", Order: "x, y, z"}
+	h, err := e.Prepare(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(500, func() {
+		if _, err := e.Prepare(spec); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("engine cache hit allocates %v times per Prepare, want 0", n)
+	}
+	const win = 64
+	total := h.Total()
+	if total < win {
+		t.Fatalf("total %d below the window", total)
+	}
+	dst := make([]values.Value, 0, win*3)
+	k := int64(0)
+	if n := testing.AllocsPerRun(500, func() {
+		_, dst, err = e.AccessRange(spec, dst[:0], k, k+win)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k = (k + win) % (total - win + 1)
+	}); n > 3 {
+		t.Fatalf("engine cache hit + range allocates %v times per call, want at most 3", n)
+	}
+	if st := e.Stats(); st.Misses != 1 {
+		t.Fatalf("%d cache misses, want only the initial build", st.Misses)
+	}
+}
+
 // --- Benchmarks: single access, buffered access, batched access ---
 
 func BenchmarkAccess_Fresh(b *testing.B) {

@@ -7,14 +7,15 @@ import (
 	"sync/atomic"
 
 	"rankedaccess/internal/engine"
+	"rankedaccess/internal/lru"
 	"rankedaccess/internal/order"
 	"rankedaccess/internal/rpc"
 	"rankedaccess/internal/shard"
 	"rankedaccess/internal/trace"
 )
 
-// maxNodeBuilds bounds the node's build cache; above it, builds for
-// stale versions are evicted first, then arbitrary entries.
+// maxNodeBuilds bounds the node's build cache; above it, the least
+// recently used build is evicted.
 const maxNodeBuilds = 64
 
 // Node serves the shard-node side of the RPC protocol over a local
@@ -27,23 +28,17 @@ const maxNodeBuilds = 64
 type Node struct {
 	e *engine.Engine
 
+	// builds caches one owned-shard build per spec, single-flighted so
+	// concurrent probes for a missing spec build once.
 	mu     sync.Mutex
-	builds map[string]*buildEntry
+	builds *lru.Cache[string, *lru.Flight[*engine.NodeBuild]]
 
 	tracer atomic.Pointer[trace.Tracer]
 }
 
-// buildEntry is one cached owned-shard build, single-flighted so
-// concurrent probes for a missing spec build once.
-type buildEntry struct {
-	once sync.Once
-	nb   *engine.NodeBuild
-	err  error
-}
-
 // NewNode wraps an engine as an RPC backend.
 func NewNode(e *engine.Engine) *Node {
-	return &Node{e: e, builds: make(map[string]*buildEntry)}
+	return &Node{e: e, builds: lru.New[string, *lru.Flight[*engine.NodeBuild]](maxNodeBuilds)}
 }
 
 // SetTracer makes probes emit per-shard engine spans under the RPC
@@ -82,64 +77,42 @@ func validate(es engine.Spec, p int, shardVar string) error {
 // getBuild returns the cached build for the spec, building it if the
 // node has never seen it (or evicted it) — the stateless-probe
 // guarantee. A cached build for an older instance version is replaced.
+// A failed build is not cached: the next probe retries.
 func (n *Node) getBuild(ctx context.Context, spec rpc.Spec) (*engine.NodeBuild, error) {
-	es := engine.Spec{Query: spec.Query, Order: spec.Order, SumBy: spec.SumBy, FDs: spec.FDs}
 	key := spec.Key()
 	cur := n.e.Version()
 
 	n.mu.Lock()
-	ent, ok := n.builds[key]
-	if ok && ent.nb != nil && ent.nb.Version != cur {
-		ok = false // stale build: rebuild against the current epoch
+	fl, ok := n.builds.Get(key)
+	if ok && fl.Finished() {
+		// Failed flights leave the cache before finishing, so this one
+		// holds a build; a stale one is rebuilt against the current epoch.
+		nb, _ := fl.Wait(ctx)
+		ok = nb.Version == cur
 	}
-	if !ok {
-		ent = &buildEntry{}
-		n.builds[key] = ent
-		n.evictLocked(key, cur)
+	if ok {
+		n.mu.Unlock()
+		return fl.Wait(ctx)
 	}
+	fl = lru.NewFlight[*engine.NodeBuild]()
+	n.builds.Add(key, fl)
 	n.mu.Unlock()
 
-	ent.once.Do(func() {
-		if err := validate(es, spec.P, spec.ShardVar); err != nil {
-			ent.err = err
-			return
-		}
-		ent.nb, ent.err = n.e.BuildOwned(ctx, es, spec.P, spec.ShardVar, spec.Owned)
-	})
-	if ent.err != nil {
-		// Failed entries are not cached: the next probe retries.
+	es := engine.Spec{Query: spec.Query, Order: spec.Order, SumBy: spec.SumBy, FDs: spec.FDs}
+	var nb *engine.NodeBuild
+	err := validate(es, spec.P, spec.ShardVar)
+	if err == nil {
+		nb, err = n.e.BuildOwned(ctx, es, spec.P, spec.ShardVar, spec.Owned)
+	}
+	if err != nil {
 		n.mu.Lock()
-		if n.builds[key] == ent {
-			delete(n.builds, key)
+		if cached, ok := n.builds.Get(key); ok && cached == fl {
+			n.builds.Remove(key)
 		}
 		n.mu.Unlock()
-		return nil, ent.err
 	}
-	return ent.nb, nil
-}
-
-// evictLocked keeps the build cache bounded. Called with n.mu held,
-// keep names the entry that must survive.
-func (n *Node) evictLocked(keep string, cur uint64) {
-	if len(n.builds) <= maxNodeBuilds {
-		return
-	}
-	for k, ent := range n.builds {
-		if k != keep && ent.nb != nil && ent.nb.Version != cur {
-			delete(n.builds, k)
-			if len(n.builds) <= maxNodeBuilds {
-				return
-			}
-		}
-	}
-	for k := range n.builds {
-		if k != keep {
-			delete(n.builds, k)
-			if len(n.builds) <= maxNodeBuilds {
-				return
-			}
-		}
-	}
+	fl.Finish(nb, err)
+	return nb, err
 }
 
 // getVersioned is getBuild plus the version check every probe makes.
@@ -243,7 +216,7 @@ func (n *Node) Range(ctx context.Context, spec rpc.Spec, version uint64, s int, 
 func (n *Node) Stats(ctx context.Context) (*rpc.PeerStats, error) {
 	st := n.e.Stats()
 	n.mu.Lock()
-	builds := len(n.builds)
+	builds := n.builds.Len()
 	n.mu.Unlock()
 	return &rpc.PeerStats{Version: st.Version, Tuples: int64(st.Tuples), Builds: int64(builds)}, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"rankedaccess/internal/access"
 	"rankedaccess/internal/delta"
+	"rankedaccess/internal/lru"
 	"rankedaccess/internal/order"
 	"rankedaccess/internal/values"
 )
@@ -20,7 +21,7 @@ import (
 // nil when only a full rebuild can (truncated log tail, opaque reset of
 // a referenced relation, an overlay-ineligible structure, or a delta
 // past the hard limit).
-func (e *Engine) advance(s Spec, key string, stale *Handle, version uint64) *Handle {
+func (e *Engine) advance(s Spec, key specKey, stale *Handle, version uint64) *Handle {
 	batches, ok := e.wlog.Since(stale.version)
 	if !ok || stale.rels == nil {
 		e.deltaRebuilds.Add(1)
@@ -197,18 +198,20 @@ func headKey(h *Handle, a order.Answer) string {
 	return string(buf)
 }
 
-// spawnRebuild schedules a background re-preprocess for the spec,
-// deduplicating concurrent requests per cache key. The goroutine builds
-// against whatever version it observes (≥ the caller's) and swaps the
-// fresh structure into the cache unless a newer epoch got there first;
-// readers keep probing the published overlay epoch until the swap.
-func (e *Engine) spawnRebuild(s Spec, key string) {
+// spawnRebuild schedules a background re-preprocess for the spec, one
+// at a time per spec. The goroutine builds against whatever version it
+// observes (≥ the caller's) and publishes the fresh structure; readers
+// keep probing the published overlay epoch until the swap, which
+// Stats.BGRebuilds counts only if it sticks.
+func (e *Engine) spawnRebuild(s Spec, key specKey) {
+	fk := flightKey{spec: key, bg: true}
 	e.cmu.Lock()
-	if e.bgRebuilding[key] {
+	if _, ok := e.flights[fk]; ok {
 		e.cmu.Unlock()
 		return
 	}
-	e.bgRebuilding[key] = true
+	fl := lru.NewFlight[*Handle]()
+	e.flights[fk] = fl
 	e.cmu.Unlock()
 	e.bg.Add(1)
 	go func() {
@@ -220,18 +223,13 @@ func (e *Engine) spawnRebuild(s Spec, key string) {
 		// rebuild at the next wave boundary instead of waiting it out.
 		h, err := e.build(e.life, s)
 		e.mu.RUnlock()
-		swapped := false
-		e.cmu.Lock()
-		delete(e.bgRebuilding, key)
 		if err == nil {
 			h.version = v
-			if cur := e.cache.get(key); cur == nil || cur.version <= v {
-				e.cache.add(key, h)
-				e.bgRebuilds.Add(1)
-				swapped = true
-			}
 		}
-		e.cmu.Unlock()
+		swapped := e.land(fk, fl, h, err)
+		if swapped {
+			e.bgRebuilds.Add(1)
+		}
 		if e.log != nil {
 			level, attrs := slog.LevelInfo, []slog.Attr{
 				slog.String("query", s.Query),

@@ -36,11 +36,13 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -54,6 +56,7 @@ import (
 	"rankedaccess/internal/delta"
 	"rankedaccess/internal/faultfs"
 	"rankedaccess/internal/fd"
+	"rankedaccess/internal/lru"
 	"rankedaccess/internal/order"
 	"rankedaccess/internal/reqid"
 	"rankedaccess/internal/selection"
@@ -471,13 +474,6 @@ type Stats struct {
 	WALErrors uint64
 }
 
-// flight is one in-progress build, shared by concurrent requesters.
-type flight struct {
-	done chan struct{}
-	h    *Handle
-	err  error
-}
-
 // Engine is a concurrency-safe planner/cache over one database instance.
 type Engine struct {
 	// mu guards the instance and version: builds and one-shot reads hold
@@ -509,12 +505,10 @@ type Engine struct {
 	// Options.FS).
 	fs faultfs.FS
 
-	// cmu guards the cache, the in-flight build table, and the
-	// background-rebuild dedup set.
-	cmu          sync.Mutex
-	cache        *lru
-	flights      map[string]*flight
-	bgRebuilding map[string]bool
+	// cmu guards the structure cache and the in-flight builds.
+	cmu     sync.Mutex
+	cache   *lru.Cache[specKey, *Handle]
+	flights map[flightKey]*lru.Flight[*Handle]
 
 	// bg tracks background re-preprocess goroutines (Quiesce waits).
 	bg sync.WaitGroup
@@ -577,19 +571,18 @@ func New(in *database.Instance, opts Options) *Engine {
 	}
 	life, stop := context.WithCancel(context.Background())
 	return &Engine{
-		in:           in,
-		wlog:         delta.NewLog(0),
-		deltaSoft:    soft,
-		deltaHard:    hard,
-		fs:           fsys,
-		life:         life,
-		stop:         stop,
-		log:          opts.Logger,
-		remote:       opts.Remote,
-		cache:        newLRU(size),
-		flights:      make(map[string]*flight),
-		bgRebuilding: make(map[string]bool),
-		registry:     make(map[string]*PreparedQuery),
+		in:        in,
+		wlog:      delta.NewLog(0),
+		deltaSoft: soft,
+		deltaHard: hard,
+		fs:        fsys,
+		life:      life,
+		stop:      stop,
+		log:       opts.Logger,
+		remote:    opts.Remote,
+		cache:     lru.New[specKey, *Handle](size),
+		flights:   make(map[flightKey]*lru.Flight[*Handle]),
+		registry:  make(map[string]*PreparedQuery),
 	}
 }
 
@@ -842,7 +835,7 @@ func (e *Engine) Stats() Stats {
 	version, tuples := e.version, e.in.Size()
 	e.mu.RUnlock()
 	e.cmu.Lock()
-	entries := e.cache.len()
+	entries := e.cache.Len()
 	e.cmu.Unlock()
 	e.rmu.Lock()
 	prepared := len(e.registry)
@@ -909,48 +902,67 @@ func (e *Engine) Health() Health {
 	}
 	e.mu.RUnlock()
 	e.cmu.Lock()
-	for _, ch := range e.cache.handles() {
-		if d := ch.DeltaEdits(); d > h.MaxOverlayEdits {
-			h.MaxOverlayEdits = d
+	for _, ch := range e.cache.All() {
+		h.MaxOverlayEdits = max(h.MaxOverlayEdits, ch.DeltaEdits())
+	}
+	for fk := range e.flights {
+		if fk.bg {
+			h.BGRebuilding++
 		}
 	}
-	h.BGRebuilding = len(e.bgRebuilding)
 	e.cmu.Unlock()
 	return h
 }
 
-// key canonicalizes a Spec into a cache key. The key is versionless —
-// one cache slot per spec, holding the handle for whatever epoch it
-// last built or caught up to (Handle.version records which). FD and
-// SumBy lists are order-insensitive, and Order is dropped when SumBy is
-// set (parse ignores it, so the built structure is identical). The
-// shard count and partition variable are part of the accessor identity:
-// the same query sharded differently is a different structure. ShardBy
-// is dropped when the request is unsharded.
-func (s Spec) key() string {
-	fds := append([]string(nil), s.FDs...)
-	sort.Strings(fds)
-	sumBy := append([]string(nil), s.SumBy...)
-	sort.Strings(sumBy)
-	lexOrder := s.Order
-	if len(sumBy) > 0 {
-		lexOrder = ""
-	}
-	shards := normShards(s.Shards)
-	shardBy := s.ShardBy
-	if shards == 1 {
-		shardBy = ""
-	}
-	return fmt.Sprintf("%s\x00%s\x00%s\x00%s\x00%d\x00%s",
-		s.Query, lexOrder, strings.Join(sumBy, ","), strings.Join(fds, ";"),
-		shards, shardBy)
+// specKey is a Spec's canonical cache key. It is versionless — one
+// cache slot per spec, holding the handle for whatever epoch it last
+// built or caught up to (Handle.version records which).
+type specKey struct {
+	query, order, sumBy, fds, shardBy string
+	shards                            int
 }
 
-// flightKey scopes a single-flight build to one instance version, so a
-// build against an old epoch is never handed to a requester of a new
-// one.
-func flightKey(key string, version uint64) string {
-	return fmt.Sprintf("%s\x00%d", key, version)
+// key canonicalizes a Spec, allocating only to sort two or more FDs or
+// summed variables. FD and SumBy lists are order-insensitive, and Order
+// is dropped when SumBy is set (parse ignores it, so the built
+// structure is identical). The shard count and partition variable are
+// part of the accessor identity: the same query sharded differently is
+// a different structure. ShardBy is dropped when the request is
+// unsharded.
+func (s Spec) key() specKey {
+	k := specKey{query: s.Query, order: s.Order, fds: sortedJoin(s.FDs, ";"), shards: normShards(s.Shards)}
+	if len(s.SumBy) > 0 {
+		k.order, k.sumBy = "", sortedJoin(s.SumBy, ",")
+	}
+	if k.shards > 1 {
+		k.shardBy = s.ShardBy
+	}
+	return k
+}
+
+// compare orders keys field by field, for deterministic checkpoints.
+func (k specKey) compare(o specKey) int {
+	return cmp.Or(
+		strings.Compare(k.query, o.query), strings.Compare(k.order, o.order),
+		strings.Compare(k.sumBy, o.sumBy), strings.Compare(k.fds, o.fds),
+		cmp.Compare(k.shards, o.shards), strings.Compare(k.shardBy, o.shardBy))
+}
+
+// sortedJoin joins a set of names independently of their order.
+func sortedJoin(names []string, sep string) string {
+	if len(names) < 2 {
+		return strings.Join(names, sep)
+	}
+	return strings.Join(slices.Sorted(slices.Values(names)), sep)
+}
+
+// flightKey names one in-flight build: a request's build or catch-up,
+// scoped to one version so an old epoch is never handed to a requester
+// of a new one, or (bg) the spec's one background rebuild.
+type flightKey struct {
+	spec    specKey
+	version uint64
+	bg      bool
 }
 
 // parsed is a Spec after parsing against its own query.
@@ -1001,8 +1013,7 @@ func (s Spec) parse() (*parsed, error) {
 // instance version. Concurrent calls for the same missing key perform a
 // single build.
 func (e *Engine) Prepare(s Spec) (*Handle, error) {
-	h, _, err := e.prepareVersioned(s)
-	return h, err
+	return e.PrepareCtx(context.Background(), s)
 }
 
 // PrepareCtx is Prepare with cancellation: a request whose deadline
@@ -1014,20 +1025,15 @@ func (e *Engine) PrepareCtx(ctx context.Context, s Spec) (*Handle, error) {
 	return h, err
 }
 
-// prepareVersioned is Prepare returning also the instance version the
-// handle was resolved against, so registered queries can record which
-// snapshot their current handle answers for.
-func (e *Engine) prepareVersioned(s Spec) (*Handle, uint64, error) {
-	return e.prepareVersionedCtx(context.Background(), s)
-}
-
 // ctxErr reports whether an error is (or wraps) a context cancellation
 // or deadline expiry.
 func ctxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// prepareVersionedCtx resolves a spec against the current version.
+// prepareVersionedCtx resolves a spec against the current version and
+// returns also that version, so registered queries can record which
+// snapshot their current handle answers for.
 //
 // A cached handle at the current version is a plain hit. A cached
 // handle at an older version is advanced instead of discarded:
@@ -1054,76 +1060,87 @@ func (e *Engine) prepareVersionedCtx(ctx context.Context, s Spec) (*Handle, uint
 
 // prepareOnce is one attempt of prepareVersionedCtx; retry=true means
 // the flight it joined died of its builder's cancellation, not ours.
-func (e *Engine) prepareOnce(ctx context.Context, s Spec, key string) (*Handle, uint64, bool, error) {
+func (e *Engine) prepareOnce(ctx context.Context, s Spec, key specKey) (*Handle, uint64, bool, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	version := e.version
-	fk := flightKey(key, version)
 
 	e.cmu.Lock()
-	var stale *Handle
-	if h := e.cache.get(key); h != nil {
-		if h.version == version {
-			e.cmu.Unlock()
-			e.hits.Add(1)
-			return h, version, false, nil
-		}
-		stale = h
+	stale, cached := e.cache.Get(key)
+	if cached && stale.version == version {
+		e.cmu.Unlock()
+		e.hits.Add(1)
+		return stale, version, false, nil
 	}
+	fk := flightKey{spec: key, version: version}
 	if fl, ok := e.flights[fk]; ok {
 		e.cmu.Unlock()
 		// The builder also holds mu.RLock, so waiting here cannot
 		// deadlock with a writer: both readers run to completion first.
-		select {
-		case <-fl.done:
-		case <-ctx.Done():
-			return nil, 0, false, ctx.Err()
-		}
-		if fl.err != nil && ctxErr(fl.err) {
-			return nil, 0, true, fl.err
+		h, err := fl.Wait(ctx)
+		if ctxErr(err) {
+			return nil, 0, true, err
 		}
 		e.hits.Add(1)
-		return fl.h, version, false, fl.err
+		return h, version, false, err
 	}
-	fl := &flight{done: make(chan struct{})}
+	fl := lru.NewFlight[*Handle]()
 	e.flights[fk] = fl
 	e.cmu.Unlock()
 
-	if stale != nil {
-		fl.h = e.advance(s, key, stale, version)
+	var h *Handle
+	var err error
+	if cached {
+		h = e.advance(s, key, stale, version)
 	}
-	if fl.h != nil {
+	if h != nil {
 		e.hits.Add(1)
 	} else {
 		e.misses.Add(1)
 		start := time.Now()
-		fl.h, fl.err = e.build(ctx, s)
-		if fl.err == nil {
-			fl.h.version = version
+		h, err = e.build(ctx, s)
+		if err == nil {
+			h.version = version
 		}
-		e.logBuild(ctx, s, version, stale != nil, time.Since(start), fl.err)
+		e.logBuild(ctx, s, version, cached, time.Since(start), err)
 		trace.FromContext(ctx).AddEvent("engine.build",
 			trace.Str("query", s.Query),
 			trace.Int("version", int64(version)),
 			trace.Int("duration_us", time.Since(start).Microseconds()))
 	}
 
+	e.land(fk, fl, h, err)
+	return h, version, false, err
+}
+
+// land ends flight fk: it publishes a successful build, deregisters the
+// flight and wakes its waiters, reporting whether the handle stuck.
+func (e *Engine) land(fk flightKey, fl *lru.Flight[*Handle], h *Handle, err error) bool {
 	e.cmu.Lock()
-	if fl.err == nil {
-		// Same guard as spawnRebuild: a slow catch-up for an older
-		// version must not overwrite a newer handle a concurrent request
-		// already cached.
-		if cur := e.cache.get(key); cur == nil || cur.version <= fl.h.version {
-			e.cache.add(key, fl.h)
-		}
-	}
+	stuck := err == nil && e.publish(fk.spec, h)
 	// Deregister before waking waiters: a waiter retrying after a
 	// canceled build must find either the cached result or no flight at
 	// all, never the dead flight again (which would spin).
 	delete(e.flights, fk)
 	e.cmu.Unlock()
-	close(fl.done)
-	return fl.h, version, false, fl.err
+	fl.Finish(h, err)
+	return stuck
+}
+
+// publish is the only way a handle enters the cache, and so the one
+// place that keeps a spec's published epoch from regressing. Candidates
+// are ordered totally by version, then by fewer overlay edits: an older
+// version never replaces a newer one, and an edit-free rebuilt
+// structure beats an overlay of the same version whichever is published
+// first. It reports whether h is now the cached handle. The caller
+// holds cmu.
+func (e *Engine) publish(key specKey, h *Handle) bool {
+	if cur, ok := e.cache.Get(key); ok && (cur.version > h.version ||
+		cur.version == h.version && cur.DeltaEdits() < h.DeltaEdits()) {
+		return false
+	}
+	e.cache.Add(key, h)
+	return true
 }
 
 // logBuild emits one structured event for a synchronous structure

@@ -76,8 +76,7 @@ func (pq *PreparedQuery) Spec() Spec { return pq.spec }
 // returned handle is an immutable snapshot: it stays valid (answering
 // for its own version) even if the instance mutates afterwards.
 func (pq *PreparedQuery) Acquire() (*Handle, error) {
-	h, _, err := pq.acquireVersioned()
-	return h, err
+	return pq.AcquireCtx(context.Background())
 }
 
 // AcquireCtx is Acquire with cancellation: the fast path is unchanged
@@ -102,14 +101,10 @@ func (pq *PreparedQuery) Current() (h *Handle, fresh bool) {
 	return cur.h, cur.version == pq.e.versionNow()
 }
 
-// acquireVersioned is Acquire returning also the instance version the
-// handle was built for — the version cursors must pin to (reading the
-// engine's current version separately would race with mutations and
+// acquireVersionedCtx is AcquireCtx returning also the instance version
+// the handle was built for — the version cursors must pin to (reading
+// the engine's current version separately would race with mutations and
 // could pin an old handle to a new version).
-func (pq *PreparedQuery) acquireVersioned() (*Handle, uint64, error) {
-	return pq.acquireVersionedCtx(context.Background())
-}
-
 func (pq *PreparedQuery) acquireVersionedCtx(ctx context.Context) (*Handle, uint64, error) {
 	if cur := pq.cur.Load(); cur != nil && cur.version == pq.e.versionNow() {
 		pq.e.regHits.Add(1)
@@ -183,11 +178,11 @@ func (e *Engine) Register(name string, s Spec) (*PreparedQuery, error) {
 	if !validName(name) {
 		return nil, fmt.Errorf("engine: invalid prepared-query name %q (want 1-%d chars of [A-Za-z0-9_.-])", name, MaxNameLen)
 	}
-	h, version, err := e.prepareVersioned(s)
+	h, version, err := e.prepareVersionedCtx(context.Background(), s)
 	if err != nil {
 		return nil, err
 	}
-	p, err := s.parse() // cannot fail: prepareVersioned parsed the same spec
+	p, err := s.parse() // cannot fail: the prepare parsed the same spec
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -93,8 +95,11 @@ func (e *Engine) checkpointLocked(dir string) (CheckpointInfo, error) {
 	// Candidate structures: everything cached (all current-version by
 	// construction) plus the registrations' current handles, deduped by
 	// spec identity and persisted in deterministic order.
+	var handles []*Handle
 	e.cmu.Lock()
-	handles := e.cache.handles()
+	for _, h := range e.cache.All() {
+		handles = append(handles, h)
+	}
 	e.cmu.Unlock()
 	e.rmu.Lock()
 	regs := make([]*PreparedQuery, 0, len(e.registry))
@@ -108,8 +113,7 @@ func (e *Engine) checkpointLocked(dir string) (CheckpointInfo, error) {
 			handles = append(handles, cur.h)
 		}
 	}
-	byKey := make(map[string]*Handle, len(handles))
-	keys := make([]string, 0, len(handles))
+	byKey := make(map[specKey]*Handle, len(handles))
 	for _, h := range handles {
 		// Only structures answering for the checkpointed version persist;
 		// a stale handle or an overlay epoch (whose edits have no flat
@@ -118,15 +122,11 @@ func (e *Engine) checkpointLocked(dir string) (CheckpointInfo, error) {
 			info.Skipped++
 			continue
 		}
-		key := h.spec.key()
-		if _, ok := byKey[key]; ok {
-			continue
+		if key := h.spec.key(); byKey[key] == nil {
+			byKey[key] = h
 		}
-		byKey[key] = h
-		keys = append(keys, key)
 	}
-	sort.Strings(keys)
-	for _, key := range keys {
+	for _, key := range slices.SortedFunc(maps.Keys(byKey), specKey.compare) {
 		sm, ok := structureMeta(b, byKey[key])
 		if !ok {
 			info.Skipped++
@@ -310,7 +310,7 @@ func (e *Engine) loadSnapshot(path string, fresh bool) (RestoreInfo, error) {
 	// Rehydrate structures before touching engine state, so a corrupt
 	// snapshot leaves a live engine unchanged.
 	type entry struct {
-		key string
+		key specKey
 		h   *Handle
 	}
 	entries := make([]entry, 0, len(f.Meta.Structures))
@@ -350,11 +350,11 @@ func (e *Engine) loadSnapshot(path string, fresh bool) (RestoreInfo, error) {
 	// from before the load reports "cannot catch up" and rebuilds.
 	e.wlog.Reset(version)
 	e.cmu.Lock()
-	e.cache.purge()
-	// Insert in reverse so the first persisted structure ends up most
+	e.cache.Clear()
+	// Publish in reverse so the first persisted structure ends up most
 	// recently used (checkpoint order is deterministic, not LRU).
 	for i := len(entries) - 1; i >= 0; i-- {
-		e.cache.add(entries[i].key, entries[i].h)
+		e.publish(entries[i].key, entries[i].h)
 	}
 	e.cmu.Unlock()
 	e.rmu.Lock()

@@ -218,13 +218,13 @@ func TestPrepareKeepsNewerCachedHandle(t *testing.T) {
 	newer := *h
 	newer.version = h.version + 5
 	e.cmu.Lock()
-	e.cache.add(key, &newer)
+	e.cache.Add(key, &newer)
 	e.cmu.Unlock()
 	if _, err := e.Prepare(s); err != nil {
 		t.Fatal(err)
 	}
 	e.cmu.Lock()
-	cur := e.cache.get(key)
+	cur, _ := e.cache.Get(key)
 	e.cmu.Unlock()
 	if cur.version != newer.version {
 		t.Fatalf("cached handle version = %d, want %d (older flight overwrote the newer epoch)", cur.version, newer.version)

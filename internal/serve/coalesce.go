@@ -3,6 +3,11 @@
 // once share one probe + encode, and recently produced bodies are
 // served straight from a small cache.
 //
+// Both are one internal/lru Cache of single-flight results: a request
+// joins its window's flight, or reads the body if it has finished. A
+// joiner waits only until its own deadline, and a failed fill is shared
+// with its joiners but never cached.
+//
 // Correctness hinges on the key: it embeds the registration generation
 // AND the handle's epoch version, so a cached body can never outlive
 // its epoch — a write publishes a new version, new requests form new
@@ -12,13 +17,14 @@
 package serve
 
 import (
+	"cmp"
 	"context"
-	"fmt"
-	"strings"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
 	"rankedaccess/internal/engine"
+	"rankedaccess/internal/lru"
 	"rankedaccess/internal/trace"
 )
 
@@ -28,100 +34,84 @@ import (
 const defaultCoalesceCache = 256
 
 type coalescer struct {
-	mu      sync.Mutex
-	flights map[string]*coalFlight
-	entries map[string]*coalEntry
-	seq     uint64
-	max     int
+	mu    sync.Mutex
+	cache *lru.Cache[coalKey, *lru.Flight[[]byte]] // nil: coalescing off
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
-// coalFlight is one in-progress fill; joiners block on done and share
-// the leader's result.
-type coalFlight struct {
-	done chan struct{}
-	body []byte
-	err  error
-}
-
-type coalEntry struct {
-	body []byte
-	seq  uint64 // LRU stamp
-}
-
+// newCoalescer keeps max bodies: 0 means defaultCoalesceCache, and a
+// negative max turns coalescing off.
 func newCoalescer(max int) *coalescer {
-	if max <= 0 {
-		max = defaultCoalesceCache
+	if max < 0 {
+		return &coalescer{}
 	}
-	return &coalescer{
-		flights: make(map[string]*coalFlight),
-		entries: make(map[string]*coalEntry),
-		max:     max,
-	}
+	return &coalescer{cache: lru.New[coalKey, *lru.Flight[[]byte]](cmp.Or(max, defaultCoalesceCache))}
 }
 
 // do returns the encoded response body for key, invoking fill at most
-// once across all concurrent identical requests. Successful bodies are
-// cached (LRU) until evicted; errors are shared with the in-flight
-// joiners but never cached, so a transient failure does not poison the
-// key.
-func (c *coalescer) do(ctx context.Context, key string, fill func() ([]byte, error)) ([]byte, error) {
+// once across all concurrent identical requests (every time when
+// coalescing is off).
+func (c *coalescer) do(ctx context.Context, key coalKey, fill func() ([]byte, error)) ([]byte, error) {
+	if c.cache == nil {
+		return fill()
+	}
 	c.mu.Lock()
-	if ent := c.entries[key]; ent != nil {
-		c.seq++
-		ent.seq = c.seq
+	if fl, ok := c.cache.Get(key); ok {
 		c.mu.Unlock()
+		kind := "joined"
+		if fl.Finished() {
+			kind = "cached"
+		}
 		c.hits.Add(1)
-		trace.FromContext(ctx).AddEvent("coalesce.hit", trace.Str("kind", "cached"))
-		return ent.body, nil
+		trace.FromContext(ctx).AddEvent("coalesce.hit", trace.Str("kind", kind))
+		return fl.Wait(ctx)
 	}
-	if fl := c.flights[key]; fl != nil {
-		c.mu.Unlock()
-		<-fl.done
-		c.hits.Add(1)
-		trace.FromContext(ctx).AddEvent("coalesce.hit", trace.Str("kind", "joined"))
-		return fl.body, fl.err
-	}
-	fl := &coalFlight{done: make(chan struct{})}
-	c.flights[key] = fl
+	fl := lru.NewFlight[[]byte]()
+	c.cache.Add(key, fl)
 	c.mu.Unlock()
 
 	c.misses.Add(1)
 	trace.FromContext(ctx).AddEvent("coalesce.miss")
-	fl.body, fl.err = fill()
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if fl.err == nil {
-		for len(c.entries) >= c.max {
-			var oldestKey string
-			var oldest uint64
-			for k, e := range c.entries {
-				if oldestKey == "" || e.seq < oldest {
-					oldestKey, oldest = k, e.seq
-				}
-			}
-			delete(c.entries, oldestKey)
+	body, err := fill()
+	if err != nil {
+		c.mu.Lock()
+		if cur, ok := c.cache.Get(key); ok && cur == fl {
+			c.cache.Remove(key)
 		}
-		c.seq++
-		c.entries[key] = &coalEntry{body: fl.body, seq: c.seq}
+		c.mu.Unlock()
 	}
-	c.mu.Unlock()
-	close(fl.done)
-	return fl.body, fl.err
+	fl.Finish(body, err)
+	return body, err
 }
 
-// coalesceKey builds the identity of one probe window: endpoint,
-// registration (name AND generation — a re-registered name must not
-// hit the old name's cache), epoch version, then the request's numeric
-// parameters.
-func coalesceKey(op string, id engine.PreparedID, version uint64, parts ...int64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|%d|%d", op, id.Name, id.Gen, version)
-	for _, p := range parts {
-		fmt.Fprintf(&b, "|%d", p)
+// coalKey is the identity of one probe window: endpoint, registration
+// (name AND generation — a re-registered name must not hit the old
+// name's cache), epoch version, then the window. A range and a
+// single-index access key on k0 (and k1) without allocating; only a
+// batch of any other length packs its indices into ks.
+type coalKey struct {
+	op      string
+	id      engine.PreparedID
+	version uint64
+	k0, k1  int64
+	ks      string
+}
+
+// accessKey keys an /access window.
+func accessKey(id engine.PreparedID, version uint64, ks []int64) coalKey {
+	if len(ks) == 1 {
+		return coalKey{op: "access", id: id, version: version, k0: ks[0]}
 	}
-	return b.String()
+	b := make([]byte, 0, 8*len(ks))
+	for _, k := range ks {
+		b = binary.LittleEndian.AppendUint64(b, uint64(k))
+	}
+	return coalKey{op: "batch", id: id, version: version, ks: string(b)}
+}
+
+// rangeKey keys a /range window.
+func rangeKey(id engine.PreparedID, version uint64, k0, k1 int64) coalKey {
+	return coalKey{op: "range", id: id, version: version, k0: k0, k1: k1}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"rankedaccess/internal/engine"
+	"rankedaccess/internal/lru"
 )
 
 // defaultMaxCursors bounds concurrently open server-side cursors; the
@@ -25,23 +26,20 @@ type serverCursor struct {
 
 	mu  sync.Mutex
 	cur *engine.Cursor
-
-	lastUse uint64 // store sequence number at last touch, for LRU eviction
 }
 
-// cursorStore issues and resolves opaque cursor tokens.
+// cursorStore issues and resolves opaque cursor tokens, keeping at most
+// its capacity open by evicting the least recently used cursor.
 type cursorStore struct {
-	mu  sync.Mutex
-	m   map[string]*serverCursor
-	seq uint64
-	max int
+	mu      sync.Mutex
+	cursors *lru.Cache[string, *serverCursor]
 }
 
 func newCursorStore(max int) *cursorStore {
 	if max <= 0 {
 		max = defaultMaxCursors
 	}
-	return &cursorStore{m: make(map[string]*serverCursor), max: max}
+	return &cursorStore{cursors: lru.New[string, *serverCursor](max)}
 }
 
 // newToken returns an unguessable cursor id (a cursor grants read
@@ -64,31 +62,16 @@ func (cs *cursorStore) create(query string, cur *engine.Cursor) (*serverCursor, 
 	sc := &serverCursor{id: id, query: query, cur: cur}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	for len(cs.m) >= cs.max {
-		var oldest *serverCursor
-		for _, c := range cs.m {
-			if oldest == nil || c.lastUse < oldest.lastUse {
-				oldest = c
-			}
-		}
-		delete(cs.m, oldest.id)
-	}
-	cs.seq++
-	sc.lastUse = cs.seq
-	cs.m[id] = sc
+	cs.cursors.Add(id, sc)
 	return sc, nil
 }
 
-// get resolves an id, refreshing its LRU stamp; nil when unknown (or
+// get resolves an id, marking it recently used; nil when unknown (or
 // already evicted/closed).
 func (cs *cursorStore) get(id string) *serverCursor {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	sc := cs.m[id]
-	if sc != nil {
-		cs.seq++
-		sc.lastUse = cs.seq
-	}
+	sc, _ := cs.cursors.Get(id)
 	return sc
 }
 
@@ -96,14 +79,12 @@ func (cs *cursorStore) get(id string) *serverCursor {
 func (cs *cursorStore) remove(id string) bool {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	_, ok := cs.m[id]
-	delete(cs.m, id)
-	return ok
+	return cs.cursors.Remove(id)
 }
 
 // open returns the number of open cursors.
 func (cs *cursorStore) open() int {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	return len(cs.m)
+	return cs.cursors.Len()
 }

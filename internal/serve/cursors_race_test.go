@@ -52,7 +52,7 @@ func TestCursorStoreConcurrentStress(t *testing.T) {
 	}
 	// The survivors still resolve and can be drained out.
 	survivors := make([]string, 0, max)
-	for id := range cs.m {
+	for id := range cs.cursors.All() {
 		survivors = append(survivors, id)
 	}
 	for _, id := range survivors {

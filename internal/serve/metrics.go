@@ -225,20 +225,10 @@ func newServerMetrics(s *server) *serverMetrics {
 		})
 	reg.CounterFunc("ra_serve_coalesce_hits_total",
 		"probe windows served from the coalescer (shared flight or cached body)",
-		func() float64 {
-			if s.coal == nil {
-				return 0
-			}
-			return float64(s.coal.hits.Load())
-		})
+		func() float64 { return float64(s.coal.hits.Load()) })
 	reg.CounterFunc("ra_serve_coalesce_misses_total",
 		"probe windows that paid their own probe + encode",
-		func() float64 {
-			if s.coal == nil {
-				return 0
-			}
-			return float64(s.coal.misses.Load())
-		})
+		func() float64 { return float64(s.coal.misses.Load()) })
 	reg.CounterFunc("ra_serve_degraded_reads_total",
 		"reads answered from a stale epoch while the engine was degraded",
 		func() float64 { return float64(s.degradedReads.Load()) })

@@ -204,7 +204,7 @@ type server struct {
 
 	lim  *admission.RateLimiter // nil: rate limiting off
 	gate *admission.Gate        // nil: concurrency gate off
-	coal *coalescer             // nil: coalescing off
+	coal *coalescer
 
 	maxBody     int64
 	streamWrite time.Duration // <= 0: no per-chunk write deadline
@@ -252,9 +252,7 @@ func NewHandlerWith(e *engine.Engine, cfg Config) http.Handler {
 	if cfg.MaxConcurrent > 0 {
 		s.gate = admission.NewGate(cfg.MaxConcurrent, cfg.MaxQueue)
 	}
-	if cfg.CoalesceCache >= 0 {
-		s.coal = newCoalescer(cfg.CoalesceCache)
-	}
+	s.coal = newCoalescer(cfg.CoalesceCache)
 	s.reqLog = cfg.RequestLog
 	s.tracer = cfg.Tracer
 	s.logSamp.max = int64(cfg.LogMaxPerSec)
@@ -709,10 +707,8 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		resp.InFlight = s.gate.Active()
 		resp.QueueDepth = s.gate.QueueDepth()
 	}
-	if s.coal != nil {
-		resp.CoalesceHits = s.coal.hits.Load()
-		resp.CoalesceMisses = s.coal.misses.Load()
-	}
+	resp.CoalesceHits = s.coal.hits.Load()
+	resp.CoalesceMisses = s.coal.misses.Load()
 	reply(w, resp)
 }
 

@@ -237,16 +237,7 @@ func (s *server) handleV1Access(w http.ResponseWriter, r *http.Request) {
 		failErr(w, err)
 		return
 	}
-	if s.coal == nil {
-		resp, err := buildAccessResponse(r.Context(), h, req.Ks)
-		if err != nil {
-			failErr(w, err)
-			return
-		}
-		reply(w, resp)
-		return
-	}
-	key := coalesceKey("access", pq.ID(), h.Version(), req.Ks...)
+	key := accessKey(pq.ID(), h.Version(), req.Ks)
 	body, err := s.coal.do(r.Context(), key, func() ([]byte, error) {
 		resp, err := buildAccessResponse(r.Context(), h, req.Ks)
 		if err != nil {
@@ -284,11 +275,7 @@ func (s *server) handleV1Range(w http.ResponseWriter, r *http.Request) {
 		failErr(w, err)
 		return
 	}
-	if s.coal == nil {
-		s.writeRange(w, h, req.K0, req.K1)
-		return
-	}
-	key := coalesceKey("range", pq.ID(), h.Version(), req.K0, req.K1)
+	key := rangeKey(pq.ID(), h.Version(), req.K0, req.K1)
 	body, err := s.coal.do(r.Context(), key, func() ([]byte, error) {
 		flatP := tuplePool.Get().(*[]values.Value)
 		flat, err := h.AccessRangeCtx(r.Context(), (*flatP)[:0], req.K0, req.K1)
@@ -305,19 +292,6 @@ func (s *server) handleV1Range(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeRaw(w, http.StatusOK, body)
-}
-
-// writeRange is the uncoalesced /range body path.
-func (s *server) writeRange(w http.ResponseWriter, h *engine.Handle, k0, k1 int64) {
-	flatP := tuplePool.Get().(*[]values.Value)
-	flat, err := h.AccessRange((*flatP)[:0], k0, k1)
-	if err != nil {
-		putTupleBuf(flatP, flat)
-		failErr(w, err)
-		return
-	}
-	reply(w, buildRangeResponse(h, flat, k0, k1))
-	putTupleBuf(flatP, flat)
 }
 
 type v1SelectRequest struct {
