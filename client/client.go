@@ -61,6 +61,10 @@ var (
 	ErrIntractable = errors.New("client: intractable")
 	// ErrCursorInvalidated: the server instance mutated under the
 	// cursor (HTTP 410).
+	//
+	// Deprecated: servers drain every cursor over the epoch it was
+	// opened on and never report an invalidated one. The sentinel and
+	// its HTTP 410 mapping stay until the next major version.
 	ErrCursorInvalidated = errors.New("client: cursor invalidated by instance mutation")
 )
 

@@ -1,6 +1,7 @@
 package access
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -27,8 +28,8 @@ func (la *Lex) NewBuf() *LexBuf {
 	}
 }
 
-// getBuf/putBuf feed the allocating convenience wrappers from a pool so
-// even Access/Rank skip the scratch allocations in steady state.
+// getBuf/putBuf feed the probes of structures too large for stack
+// scratch (see scratchSlots) from a pool.
 func (la *Lex) getBuf() *LexBuf {
 	if b, ok := la.bufs.Get().(*LexBuf); ok {
 		return b
@@ -38,19 +39,31 @@ func (la *Lex) getBuf() *LexBuf {
 
 func (la *Lex) putBuf(b *LexBuf) { la.bufs.Put(b) }
 
+// scratchSlots bounds the structures whose probes run on fixed-size
+// scratch arrays on the caller's stack: at most this many variables,
+// layers, and key columns. Stack scratch keeps the single-answer and
+// window paths allocation-free deterministically, where a sync.Pool may
+// shed entries (at every GC, and at random under the race detector).
+// Larger structures take their scratch from the pool.
+const scratchSlots = 16
+
+// stackScratch is descent scratch sized by scratchSlots.
+type stackScratch struct {
+	ans    [scratchSlots]values.Value
+	bucket [scratchSlots]int
+	key    [scratchSlots]values.Value
+}
+
+// onStack reports whether the structure's probes fit stackScratch.
+func (la *Lex) onStack() bool {
+	return la.numVars <= scratchSlots && len(la.layers) <= scratchSlots && la.maxKey <= scratchSlots
+}
+
 // Access returns the k-th answer (0-based) in the completed
 // lexicographic order, in O(log n) time (Algorithm 1). The returned
 // answer is freshly allocated; use AccessInto to reuse a caller buffer.
 func (la *Lex) Access(k int64) (order.Answer, error) {
-	buf := la.getBuf()
-	a, err := la.AccessInto(buf, k)
-	if err != nil {
-		la.putBuf(buf)
-		return nil, err
-	}
-	out := append(order.Answer(nil), a...)
-	la.putBuf(buf)
-	return out, nil
+	return la.AnswerAt(context.Background(), nil, k)
 }
 
 // AccessInto is Access writing into buf: the returned answer aliases
@@ -58,22 +71,56 @@ func (la *Lex) Access(k int64) (order.Answer, error) {
 // perform zero allocations (FD-extended structures excepted: their
 // answer projection still copies).
 func (la *Lex) AccessInto(buf *LexBuf, k int64) (order.Answer, error) {
+	ans := buf.ans[:la.numVars]
+	if err := la.descend(ans, buf.bucket, buf.key, k); err != nil {
+		return nil, err
+	}
+	return la.output(ans), nil
+}
+
+// AnswerAt implements Ranked: the descent writes the answer into dst
+// (a fresh slice when dst is too small), with its bucket and key
+// scratch on the stack, or pooled for structures too large for it.
+func (la *Lex) AnswerAt(_ context.Context, dst order.Answer, k int64) (order.Answer, error) {
+	if cap(dst) < la.numVars {
+		dst = make(order.Answer, la.numVars)
+	}
+	ans := dst[:la.numVars]
+	var err error
+	if la.onStack() {
+		var st stackScratch
+		err = la.descend(ans, st.bucket[:], st.key[:], k)
+	} else {
+		buf := la.getBuf()
+		err = la.descend(ans, buf.bucket, buf.key, k)
+		la.putBuf(buf)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return la.output(ans), nil
+}
+
+// descend runs Algorithm 1 for the k-th answer, writing every variable
+// slot of ans (existential ones read as zero) and using bucket (one
+// slot per layer) and key (maxKey slots) as scratch. It never applies
+// the FD projection: head positions already hold the original query's
+// values.
+func (la *Lex) descend(ans []values.Value, bucket []int, key []values.Value, k int64) error {
 	if la.boolean {
 		if la.boolTrue && k == 0 {
-			ans := buf.ans[:la.numVars]
 			clear(ans)
-			return la.output(ans), nil
+			return nil
 		}
-		return nil, ErrOutOfBound
+		return ErrOutOfBound
 	}
 	if k < 0 || k >= la.total {
-		return nil, ErrOutOfBound
+		return ErrOutOfBound
 	}
 	f := len(la.layers)
-	bucket := buf.bucket[:f]
+	bucket = bucket[:f]
 	bucket[0] = 0
 	factor := la.total
-	ans := buf.ans[:la.numVars]
 	clear(ans) // existential positions must read as zero, as before
 	for i := 0; i < f; i++ {
 		ly := &la.layers[i]
@@ -85,55 +132,64 @@ func (la *Lex) AccessInto(buf *LexBuf, k int64) (order.Answer, error) {
 			return ly.starts[lo+j]*factor > k
 		}) - 1
 		if t < lo {
-			return nil, fmt.Errorf("access: internal: binary search fell off bucket")
+			return fmt.Errorf("access: internal: binary search fell off bucket")
 		}
 		k -= ly.starts[t] * factor
 		ans[ly.v] = ly.vals[t]
 		for _, c := range ly.children {
 			child := &la.layers[c]
-			cb, ok := la.childBucket(child, ly.bucketOf.Key(b), ly.vals[t], buf.key)
+			cb, ok := la.childBucket(child, ly.bucketOf.Key(b), ly.vals[t], key)
 			if !ok {
-				return nil, fmt.Errorf("access: internal: missing child bucket during access")
+				return fmt.Errorf("access: internal: missing child bucket during access")
 			}
 			bucket[c] = cb
 			factor *= child.bucketWeight[cb]
 		}
 	}
 	if k != 0 {
-		return nil, fmt.Errorf("access: internal: residual index %d after descent", k)
+		return fmt.Errorf("access: internal: residual index %d after descent", k)
 	}
-	return la.output(ans), nil
+	return nil
 }
 
 // AppendTuple appends the head projection of the k-th answer to dst and
 // returns the extended slice, allocating only when dst lacks capacity.
 func (la *Lex) AppendTuple(dst []values.Value, k int64) ([]values.Value, error) {
-	buf := la.getBuf()
-	a, err := la.AccessInto(buf, k)
-	if err != nil {
-		la.putBuf(buf)
-		return dst, err
+	if k < 0 || k >= la.total {
+		return dst, ErrOutOfBound
 	}
-	for _, v := range la.Query.Head {
-		dst = append(dst, a[v])
-	}
-	la.putBuf(buf)
-	return dst, nil
+	return la.AppendWindow(context.Background(), dst, k, k+1)
 }
 
 // AppendRange appends the head projections of answers k0 ≤ k < k1 to
-// dst, reusing one probe buffer for the whole range so the per-answer
+// dst, reusing one probe scratch for the whole range so the per-answer
 // overhead is a single descent (no allocation beyond dst growth).
 func (la *Lex) AppendRange(dst []values.Value, k0, k1 int64) ([]values.Value, error) {
+	return la.AppendWindow(context.Background(), dst, k0, k1)
+}
+
+// AppendWindow implements Ranked: one descent per answer of the
+// window, all on the same stack or pooled scratch.
+func (la *Lex) AppendWindow(_ context.Context, dst []values.Value, k0, k1 int64) ([]values.Value, error) {
+	if la.onStack() {
+		var st stackScratch
+		return la.appendWindow(dst, st.ans[:la.numVars], st.bucket[:], st.key[:], k0, k1)
+	}
 	buf := la.getBuf()
 	defer la.putBuf(buf)
+	return la.appendWindow(dst, buf.ans[:la.numVars], buf.bucket, buf.key, k0, k1)
+}
+
+func (la *Lex) appendWindow(dst, ans []values.Value, bucket []int, key []values.Value, k0, k1 int64) ([]values.Value, error) {
+	if badWindow(k0, k1, la.total) {
+		return dst, ErrOutOfBound
+	}
 	for k := k0; k < k1; k++ {
-		a, err := la.AccessInto(buf, k)
-		if err != nil {
+		if err := la.descend(ans, bucket, key, k); err != nil {
 			return dst, err
 		}
 		for _, v := range la.Query.Head {
-			dst = append(dst, a[v])
+			dst = append(dst, ans[v])
 		}
 	}
 	return dst, nil
@@ -162,6 +218,31 @@ func (la *Lex) input(a order.Answer) (order.Answer, bool) {
 // tuple is VarID-indexed and must assign every free variable of Query.
 // Runs in O(log n).
 func (la *Lex) Rank(a order.Answer) (int64, bool) {
+	if la.onStack() {
+		var st stackScratch
+		return la.rank(a, st.bucket[:], st.key[:])
+	}
+	buf := la.getBuf()
+	defer la.putBuf(buf)
+	return la.rank(a, buf.bucket, buf.key)
+}
+
+// RankOf implements Ranked; it never fails.
+func (la *Lex) RankOf(_ context.Context, a order.Answer) (int64, bool, error) {
+	r, member := la.Rank(a)
+	return r, member, nil
+}
+
+// Compare implements Ranked: the completed order totally orders the
+// answers (Lemma 4.4); the head tie-break is a safety net only.
+func (la *Lex) Compare(a, b order.Answer) int {
+	if c := la.Completed.Compare(a, b); c != 0 {
+		return c
+	}
+	return compareHead(la.Query, a, b)
+}
+
+func (la *Lex) rank(a order.Answer, bucket []int, key []values.Value) (int64, bool) {
 	if la.boolean {
 		return 0, la.boolTrue
 	}
@@ -176,9 +257,7 @@ func (la *Lex) Rank(a order.Answer) (int64, bool) {
 		return 0, false
 	}
 	f := len(la.layers)
-	buf := la.getBuf()
-	defer la.putBuf(buf)
-	bucket := buf.bucket[:f]
+	bucket = bucket[:f]
 	bucket[0] = 0
 	factor := la.total
 	var k int64
@@ -209,7 +288,7 @@ func (la *Lex) Rank(a order.Answer) (int64, bool) {
 		k += ly.starts[t] * factor
 		for _, c := range ly.children {
 			child := &la.layers[c]
-			cb, okc := la.childBucket(child, ly.bucketOf.Key(b), ly.vals[t], buf.key)
+			cb, okc := la.childBucket(child, ly.bucketOf.Key(b), ly.vals[t], key)
 			if !okc {
 				return k, false
 			}

@@ -1,12 +1,13 @@
 package access
 
 import (
-	"sort"
+	"context"
 
 	"rankedaccess/internal/baseline"
 	"rankedaccess/internal/cq"
 	"rankedaccess/internal/database"
 	"rankedaccess/internal/order"
+	"rankedaccess/internal/values"
 )
 
 // Materialized is the fallback direct-access structure for (query, order)
@@ -25,17 +26,23 @@ type Materialized struct {
 
 	answers []order.Answer
 	weights []float64 // only for SUM materializations
+
+	// The realized order, fixed at build time: lex (ties by head) for
+	// lex materializations, sum (weight, then head) when bySum.
+	lex   order.Lex
+	sum   order.Sum
+	bySum bool
 }
 
 // BuildMaterializedLex materializes Q(I) sorted by the given order
 // (completed deterministically by ascending head components).
 func BuildMaterializedLex(q *cq.Query, in *database.Instance, l order.Lex) *Materialized {
-	return &Materialized{Query: q, answers: baseline.SortedByLex(q, in, l)}
+	return &Materialized{Query: q, answers: baseline.SortedByLex(q, in, l), lex: l}
 }
 
 // BuildMaterializedSum materializes Q(I) sorted by total weight.
 func BuildMaterializedSum(q *cq.Query, in *database.Instance, w order.Sum) *Materialized {
-	m := &Materialized{Query: q, answers: baseline.SortedBySum(q, in, w)}
+	m := &Materialized{Query: q, answers: baseline.SortedBySum(q, in, w), sum: w, bySum: true}
 	m.weights = make([]float64, len(m.answers))
 	for i, a := range m.answers {
 		m.weights[i] = w.AnswerWeight(q, a)
@@ -54,6 +61,31 @@ func (m *Materialized) Access(k int64) (order.Answer, error) {
 	return m.answers[k], nil
 }
 
+// AnswerAt implements Ranked.
+func (m *Materialized) AnswerAt(_ context.Context, dst order.Answer, k int64) (order.Answer, error) {
+	return sortedAnswerAt(m.answers, nil, dst, k)
+}
+
+// AppendWindow implements Ranked.
+func (m *Materialized) AppendWindow(_ context.Context, dst []values.Value, k0, k1 int64) ([]values.Value, error) {
+	return appendSortedWindow(m.answers, m.Query.Head, dst, k0, k1)
+}
+
+// RankOf implements Ranked; it never fails.
+func (m *Materialized) RankOf(_ context.Context, a order.Answer) (int64, bool, error) {
+	r, member := m.Rank(a)
+	return r, member, nil
+}
+
+// Compare implements Ranked: the order the answers were sorted by at
+// build time, ties by ascending head values.
+func (m *Materialized) Compare(a, b order.Answer) int {
+	if m.bySum {
+		return CompareSumTotal(m.Query, m.sum, a, b)
+	}
+	return compareFull(m.Query, m.lex, a, b)
+}
+
 // WeightAt returns the weight of the k-th answer for SUM
 // materializations (0 for LEX ones).
 func (m *Materialized) WeightAt(k int64) (float64, error) {
@@ -66,43 +98,19 @@ func (m *Materialized) WeightAt(k int64) (float64, error) {
 	return m.weights[k], nil
 }
 
-// Inverted returns the index of the given answer via binary search over
-// the materialized array (O(log n)); LEX materializations only.
-func (m *Materialized) Inverted(a order.Answer, l order.Lex) (int64, error) {
-	lo := sort.Search(len(m.answers), func(i int) bool {
-		return compareFull(m.Query, l, m.answers[i], a) >= 0
-	})
-	for i := lo; i < len(m.answers); i++ {
-		if compareFull(m.Query, l, m.answers[i], a) != 0 {
-			break
-		}
-		if sameOnHead(m.Query, m.answers[i], a) {
-			return int64(i), nil
-		}
+// Inverted returns the index of the given answer, or ErrNotAnAnswer,
+// by binary search over the materialized array (O(log n)).
+func (m *Materialized) Inverted(a order.Answer) (int64, error) {
+	k, member := m.Rank(a)
+	if !member {
+		return 0, ErrNotAnAnswer
 	}
-	return 0, ErrNotAnAnswer
+	return k, nil
 }
 
 func compareFull(q *cq.Query, l order.Lex, a, b order.Answer) int {
 	if c := l.Compare(a, b); c != 0 {
 		return c
 	}
-	for _, v := range q.Head {
-		if a[v] != b[v] {
-			if a[v] < b[v] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
-}
-
-func sameOnHead(q *cq.Query, a, b order.Answer) bool {
-	for _, v := range q.Head {
-		if a[v] != b[v] {
-			return false
-		}
-	}
-	return true
+	return compareHead(q, a, b)
 }

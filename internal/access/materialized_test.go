@@ -29,7 +29,7 @@ func TestMaterializedAgreesWithLayered(t *testing.T) {
 		if !reflect.DeepEqual(proj(q, ma), proj(q, laA)) {
 			t.Fatalf("k=%d: %v vs %v", k, proj(q, ma), proj(q, laA))
 		}
-		inv, err := m.Inverted(ma, la.Completed)
+		inv, err := m.Inverted(ma)
 		if err != nil || inv != k {
 			t.Fatalf("materialized inverted(%d) = %d, %v", k, inv, err)
 		}
@@ -63,7 +63,7 @@ func TestMaterializedTrioOrder(t *testing.T) {
 	}
 	// Inverted on a non-answer.
 	bad := make(order.Answer, q.NumVars())
-	if _, err := m.Inverted(bad, l); !errors.Is(err, ErrNotAnAnswer) {
+	if _, err := m.Inverted(bad); !errors.Is(err, ErrNotAnAnswer) {
 		t.Fatalf("expected ErrNotAnAnswer, got %v", err)
 	}
 }

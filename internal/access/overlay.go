@@ -1,6 +1,7 @@
 package access
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -29,102 +30,6 @@ import (
 // merged ranks the added answer is provably the last event), otherwise
 // shift k by the run's cumulative offset and probe the base.
 
-// MergeBase adapts one built structure to what an Overlay needs:
-// ordered access, rank, and the realized total-order comparator. Build
-// one with BaseOfLex/BaseOfSum/BaseOfMatLex/BaseOfMatSum.
-type MergeBase struct {
-	q           *cq.Query
-	total       int64
-	access      func(k int64) (order.Answer, error)
-	appendRange func(dst []values.Value, k0, k1 int64) ([]values.Value, error)
-	rank        func(a order.Answer) (int64, bool)
-	cmp         func(a, b order.Answer) int
-}
-
-// BaseOfLex adapts a layered lex structure. ok is false for structures
-// an overlay cannot merge over: Boolean queries (no answer tuples to
-// edit) and FD-extended builds (their answers live in the extended
-// space).
-func BaseOfLex(la *Lex) (*MergeBase, bool) {
-	if la.boolean || la.extend != nil || la.project != nil {
-		return nil, false
-	}
-	return &MergeBase{
-		q:           la.Query,
-		total:       la.total,
-		access:      la.Access,
-		appendRange: la.AppendRange,
-		rank:        la.Rank,
-		cmp: func(a, b order.Answer) int {
-			// Completed totally orders answers (Lemma 4.4); the head
-			// tie-break is a safety net only.
-			if c := la.Completed.Compare(a, b); c != 0 {
-				return c
-			}
-			return compareHead(la.Query, a, b)
-		},
-	}, true
-}
-
-// BaseOfSum adapts a SUM structure (realized order: weight, then head).
-func BaseOfSum(s *Sum) *MergeBase {
-	b := &MergeBase{
-		q:      s.Query,
-		total:  s.Total(),
-		access: s.Access,
-		rank:   s.Rank,
-		cmp: func(a, b order.Answer) int {
-			return CompareSumTotal(s.Query, s.Weights, a, b)
-		},
-	}
-	b.appendRange = b.genericRange(s.Query.Head)
-	return b
-}
-
-// BaseOfMatLex adapts a lex-sorted materialization (realized order: l,
-// then head).
-func BaseOfMatLex(m *Materialized, l order.Lex) *MergeBase {
-	b := &MergeBase{
-		q:      m.Query,
-		total:  m.Total(),
-		access: m.Access,
-		rank:   func(a order.Answer) (int64, bool) { return m.RankLex(a, l) },
-		cmp:    func(a, b order.Answer) int { return compareFull(m.Query, l, a, b) },
-	}
-	b.appendRange = b.genericRange(m.Query.Head)
-	return b
-}
-
-// BaseOfMatSum adapts a SUM-sorted materialization.
-func BaseOfMatSum(m *Materialized, w order.Sum) *MergeBase {
-	b := &MergeBase{
-		q:      m.Query,
-		total:  m.Total(),
-		access: m.Access,
-		rank:   func(a order.Answer) (int64, bool) { return m.RankSum(a, w) },
-		cmp:    func(a, b order.Answer) int { return CompareSumTotal(m.Query, w, a, b) },
-	}
-	b.appendRange = b.genericRange(m.Query.Head)
-	return b
-}
-
-// genericRange implements appendRange by per-position access, for bases
-// without a batched range path.
-func (b *MergeBase) genericRange(head []cq.VarID) func([]values.Value, int64, int64) ([]values.Value, error) {
-	return func(dst []values.Value, k0, k1 int64) ([]values.Value, error) {
-		for k := k0; k < k1; k++ {
-			a, err := b.access(k)
-			if err != nil {
-				return dst, err
-			}
-			for _, v := range head {
-				dst = append(dst, a[v])
-			}
-		}
-		return dst, nil
-	}
-}
-
 // ovEvent is one edit in the base's realized order: mr is the answer's
 // merged rank, cum the adds-minus-dels offset over events up to and
 // including this one.
@@ -136,43 +41,56 @@ type ovEvent struct {
 }
 
 // Overlay is an immutable merged view: the base structure plus a sorted
-// edit list. Like the base structures it is safe for concurrent use.
+// edit list. It is itself a Ranked, in the base's realized order, and
+// like the base structures it is safe for concurrent use.
 type Overlay struct {
-	b      *MergeBase
+	base   Ranked
 	head   []cq.VarID // head variable ids, for tuple projection
 	events []ovEvent
 	total  int64
 	adds   int
 }
 
-// NewOverlay builds the merged view for the given edits. Every add must
-// be absent from the base and every del present in it, and no answer
-// may appear twice across the two lists; violations are construction
-// errors (they indicate a broken delta computation, not bad user
-// input).
-func NewOverlay(b *MergeBase, adds, dels []order.Answer) (*Overlay, error) {
+// NewOverlay builds the merged view of base, whose answers are those of
+// q, for the given edits. The base must answer in q's own answer space
+// (no FD extension) and q must have head variables: the edits are
+// head-assigning answers of q. Every add must be absent from the base
+// and every del present in it, and no answer may appear twice across
+// the two lists; violations are construction errors (they indicate a
+// broken delta computation, not bad user input).
+func NewOverlay(q *cq.Query, base Ranked, adds, dels []order.Answer) (*Overlay, error) {
+	if len(q.Head) == 0 {
+		return nil, fmt.Errorf("access: overlay over a Boolean query")
+	}
+	ctx := context.Background()
 	events := make([]ovEvent, 0, len(adds)+len(dels))
 	for _, a := range adds {
-		r, exact := b.rank(a)
+		r, exact, err := base.RankOf(ctx, a)
+		if err != nil {
+			return nil, err
+		}
 		if exact {
 			return nil, fmt.Errorf("access: overlay add already in base")
 		}
 		events = append(events, ovEvent{a: a, add: true, mr: r})
 	}
 	for _, d := range dels {
-		r, exact := b.rank(d)
+		r, exact, err := base.RankOf(ctx, d)
+		if err != nil {
+			return nil, err
+		}
 		if !exact {
 			return nil, fmt.Errorf("access: overlay delete not in base")
 		}
 		events = append(events, ovEvent{a: d, mr: r})
 	}
 	sort.SliceStable(events, func(i, j int) bool {
-		return b.cmp(events[i].a, events[j].a) < 0
+		return base.Compare(events[i].a, events[j].a) < 0
 	})
 	// mr currently holds the base rank; fold in the running offset.
 	var off int64
 	for i := range events {
-		if i > 0 && b.cmp(events[i-1].a, events[i].a) == 0 {
+		if i > 0 && base.Compare(events[i-1].a, events[i].a) == 0 {
 			return nil, fmt.Errorf("access: duplicate overlay edit")
 		}
 		events[i].mr += off
@@ -183,19 +101,12 @@ func NewOverlay(b *MergeBase, adds, dels []order.Answer) (*Overlay, error) {
 		}
 		events[i].cum = off
 	}
-	total := b.total + off
+	total := base.Total() + off
 	if total < 0 {
 		return nil, fmt.Errorf("access: overlay deletes more answers than the base holds")
 	}
-	head := b.q.Head
-	return &Overlay{b: b, head: head, events: events, total: total, adds: len(adds)}, nil
+	return &Overlay{base: base, head: q.Head, events: events, total: total, adds: len(adds)}, nil
 }
-
-// Rank exposes the base's rank probe: the number of base answers
-// strictly preceding a in the realized order, and whether a is itself a
-// base answer. The engine's delta evaluator uses it as the
-// epoch-membership oracle for structures that carry no overlay yet.
-func (b *MergeBase) Rank(a order.Answer) (int64, bool) { return b.rank(a) }
 
 // Total returns the merged answer count.
 func (o *Overlay) Total() int64 { return o.total }
@@ -206,46 +117,36 @@ func (o *Overlay) Edits() int { return len(o.events) }
 // Adds returns how many of the edits are additions.
 func (o *Overlay) Adds() int { return o.adds }
 
+// Compare implements Ranked: the base's realized order.
+func (o *Overlay) Compare(a, b order.Answer) int { return o.base.Compare(a, b) }
+
 // locate returns the index of the first event with merged rank > k.
 func (o *Overlay) locate(k int64) int {
 	return sort.Search(len(o.events), func(i int) bool { return o.events[i].mr > k })
 }
 
-// Access returns the k-th merged answer: two binary searches — one over
-// the edits, one descent/search of the base.
-func (o *Overlay) Access(k int64) (order.Answer, error) {
+// AnswerAt implements Ranked with two binary searches: one over the
+// edits, one descent/search of the base.
+func (o *Overlay) AnswerAt(ctx context.Context, dst order.Answer, k int64) (order.Answer, error) {
 	if k < 0 || k >= o.total {
 		return nil, fmt.Errorf("access: overlay index %d of %d: %w", k, o.total, ErrOutOfBound)
 	}
 	j := o.locate(k)
 	if j > 0 && o.events[j-1].mr == k && o.events[j-1].add {
-		return o.events[j-1].a, nil
+		return append(dst[:0], o.events[j-1].a...), nil
 	}
 	var off int64
 	if j > 0 {
 		off = o.events[j-1].cum
 	}
-	return o.b.access(k - off)
+	return o.base.AnswerAt(ctx, dst, k-off)
 }
 
-// AppendTuple appends the head projection of the k-th merged answer to
-// dst.
-func (o *Overlay) AppendTuple(dst []values.Value, k int64) ([]values.Value, error) {
-	a, err := o.Access(k)
-	if err != nil {
-		return dst, err
-	}
-	for _, v := range o.head {
-		dst = append(dst, a[v])
-	}
-	return dst, nil
-}
-
-// AppendRange appends the head projections of merged answers
-// k0 ≤ k < k1 to dst, splitting the range into base segments (served by
-// the base's batched path) and interleaved added answers.
-func (o *Overlay) AppendRange(dst []values.Value, k0, k1 int64) ([]values.Value, error) {
-	if k0 < 0 || k1 < k0 || k1 > o.total {
+// AppendWindow implements Ranked, splitting the window into base
+// segments (served by the base's own window path) and interleaved added
+// answers.
+func (o *Overlay) AppendWindow(ctx context.Context, dst []values.Value, k0, k1 int64) ([]values.Value, error) {
+	if badWindow(k0, k1, o.total) {
 		return dst, fmt.Errorf("access: overlay range [%d, %d) of %d: %w", k0, k1, o.total, ErrOutOfBound)
 	}
 	k := k0
@@ -270,7 +171,7 @@ func (o *Overlay) AppendRange(dst []values.Value, k0, k1 int64) ([]values.Value,
 		if j < len(o.events) && o.events[j].mr < end {
 			end = o.events[j].mr
 		}
-		if dst, err = o.b.appendRange(dst, k-off, end-off); err != nil {
+		if dst, err = o.base.AppendWindow(ctx, dst, k-off, end-off); err != nil {
 			return dst, err
 		}
 		k = end
@@ -281,29 +182,22 @@ func (o *Overlay) AppendRange(dst []values.Value, k0, k1 int64) ([]values.Value,
 	return dst, nil
 }
 
-// Rank returns the number of merged answers strictly preceding the
-// tuple in the realized order, and whether the tuple is itself a merged
-// answer. The tuple must assign every head variable.
-func (o *Overlay) Rank(a order.Answer) (int64, bool) {
-	br, exact := o.b.rank(a)
-	idx := sort.Search(len(o.events), func(i int) bool { return o.b.cmp(o.events[i].a, a) >= 0 })
+// RankOf implements Ranked: the number of merged answers strictly
+// preceding the tuple in the realized order, and whether the tuple is
+// itself a merged answer. The tuple must assign every head variable.
+func (o *Overlay) RankOf(ctx context.Context, a order.Answer) (int64, bool, error) {
+	br, exact, err := o.base.RankOf(ctx, a)
+	if err != nil {
+		return 0, false, err
+	}
+	idx := sort.Search(len(o.events), func(i int) bool { return o.base.Compare(o.events[i].a, a) >= 0 })
 	var off int64
 	if idx > 0 {
 		off = o.events[idx-1].cum
 	}
 	member := exact
-	if idx < len(o.events) && o.b.cmp(o.events[idx].a, a) == 0 {
+	if idx < len(o.events) && o.base.Compare(o.events[idx].a, a) == 0 {
 		member = o.events[idx].add
 	}
-	return br + off, member
-}
-
-// Inverted returns the merged rank of an answer, ErrNotAnAnswer when
-// the tuple is not in the merged set.
-func (o *Overlay) Inverted(a order.Answer) (int64, error) {
-	k, exact := o.Rank(a)
-	if !exact {
-		return 0, ErrNotAnAnswer
-	}
-	return k, nil
+	return br + off, member, nil
 }

@@ -1,6 +1,7 @@
 package access
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -57,48 +58,49 @@ func checkOverlay(t *testing.T, q *cq.Query, o *Overlay, want []order.Answer, cm
 	if o.Total() != int64(len(want)) {
 		t.Fatalf("merged total %d, want %d", o.Total(), len(want))
 	}
+	ctx := context.Background()
 	var flat []values.Value
 	for k := range want {
-		got, err := o.Access(int64(k))
+		got, err := o.AnswerAt(ctx, nil, int64(k))
 		if err != nil {
-			t.Fatalf("Access(%d): %v", k, err)
+			t.Fatalf("AnswerAt(%d): %v", k, err)
 		}
 		if cmp(got, want[k]) != 0 {
-			t.Fatalf("Access(%d) = %v, want %v", k, got, want[k])
+			t.Fatalf("AnswerAt(%d) = %v, want %v", k, got, want[k])
 		}
-		r, member := o.Rank(want[k])
-		if r != int64(k) || !member {
+		r, member, err := o.RankOf(ctx, want[k])
+		if err != nil || r != int64(k) || !member {
 			t.Fatalf("Rank(answer %d) = (%d, %v)", k, r, member)
 		}
 		var one []values.Value
-		one, err = o.AppendTuple(one, int64(k))
+		one, err = o.AppendWindow(ctx, one, int64(k), int64(k)+1)
 		if err != nil {
-			t.Fatalf("AppendTuple(%d): %v", k, err)
+			t.Fatalf("AppendWindow(%d): %v", k, err)
 		}
 		for i, v := range q.Head {
 			if one[i] != want[k][v] {
-				t.Fatalf("AppendTuple(%d) col %d = %d, want %d", k, i, one[i], want[k][v])
+				t.Fatalf("AppendWindow(%d) col %d = %d, want %d", k, i, one[i], want[k][v])
 			}
 		}
 	}
 	var err error
-	flat, err = o.AppendRange(flat[:0], 0, o.Total())
+	flat, err = o.AppendWindow(ctx, flat[:0], 0, o.Total())
 	if err != nil {
-		t.Fatalf("AppendRange: %v", err)
+		t.Fatalf("AppendWindow: %v", err)
 	}
 	w := len(q.Head)
 	if len(flat) != len(want)*w {
-		t.Fatalf("AppendRange length %d, want %d", len(flat), len(want)*w)
+		t.Fatalf("AppendWindow length %d, want %d", len(flat), len(want)*w)
 	}
 	for k := range want {
 		for i, v := range q.Head {
 			if flat[k*w+i] != want[k][v] {
-				t.Fatalf("AppendRange pos %d col %d = %d, want %d", k, i, flat[k*w+i], want[k][v])
+				t.Fatalf("AppendWindow pos %d col %d = %d, want %d", k, i, flat[k*w+i], want[k][v])
 			}
 		}
 	}
-	if _, err := o.Access(o.Total()); err == nil {
-		t.Fatalf("Access(Total) should be out of bound")
+	if _, err := o.AnswerAt(ctx, nil, o.Total()); err == nil {
+		t.Fatalf("AnswerAt(Total) should be out of bound")
 	}
 }
 
@@ -149,10 +151,6 @@ func TestOverlayLex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, ok := BaseOfLex(la)
-		if !ok {
-			t.Fatal("lex base refused")
-		}
 		var base []order.Answer
 		for k := int64(0); k < la.Total(); k++ {
 			a, err := la.Access(k)
@@ -161,12 +159,12 @@ func TestOverlayLex(t *testing.T) {
 			}
 			base = append(base, a)
 		}
-		adds, dels := editSets(rng, q, base, b.cmp)
-		o, err := NewOverlay(b, adds, dels)
+		adds, dels := editSets(rng, q, base, la.Compare)
+		o, err := NewOverlay(q, la, adds, dels)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkOverlay(t, q, o, refMerge(base, adds, dels, b.cmp), b.cmp)
+		checkOverlay(t, q, o, refMerge(base, adds, dels, la.Compare), la.Compare)
 	}
 }
 
@@ -182,7 +180,6 @@ func TestOverlayMatLex(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := BuildMaterializedLex(qp, in, l)
-		b := BaseOfMatLex(m, l)
 		var base []order.Answer
 		for k := int64(0); k < m.Total(); k++ {
 			a, err := m.Access(k)
@@ -191,12 +188,12 @@ func TestOverlayMatLex(t *testing.T) {
 			}
 			base = append(base, a)
 		}
-		adds, dels := editSets(rng, qp, base, b.cmp)
-		o, err := NewOverlay(b, adds, dels)
+		adds, dels := editSets(rng, qp, base, m.Compare)
+		o, err := NewOverlay(qp, m, adds, dels)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkOverlay(t, qp, o, refMerge(base, adds, dels, b.cmp), b.cmp)
+		checkOverlay(t, qp, o, refMerge(base, adds, dels, m.Compare), m.Compare)
 	}
 }
 
@@ -219,7 +216,6 @@ func TestOverlaySum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := BaseOfSum(s)
 	var base []order.Answer
 	for k := int64(0); k < s.Total(); k++ {
 		a, err := s.Access(k)
@@ -228,12 +224,12 @@ func TestOverlaySum(t *testing.T) {
 		}
 		base = append(base, a)
 	}
-	adds, dels := editSets(rng, q, base, b.cmp)
-	o, err := NewOverlay(b, adds, dels)
+	adds, dels := editSets(rng, q, base, s.Compare)
+	o, err := NewOverlay(q, s, adds, dels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkOverlay(t, q, o, refMerge(base, adds, dels, b.cmp), b.cmp)
+	checkOverlay(t, q, o, refMerge(base, adds, dels, s.Compare), s.Compare)
 }
 
 func TestOverlayRejectsBadEdits(t *testing.T) {
@@ -247,22 +243,18 @@ func TestOverlayRejectsBadEdits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, ok := BaseOfLex(la)
-	if !ok {
-		t.Fatal("lex base refused")
-	}
 	a0, err := la.Access(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewOverlay(b, []order.Answer{a0}, nil); err == nil {
+	if _, err := NewOverlay(q, la, []order.Answer{a0}, nil); err == nil {
 		t.Fatal("adding an existing answer should fail")
 	}
 	ghost := make(order.Answer, q.NumVars())
 	for _, v := range q.Head {
 		ghost[v] = 999
 	}
-	if _, err := NewOverlay(b, nil, []order.Answer{ghost}); err == nil {
+	if _, err := NewOverlay(q, la, nil, []order.Answer{ghost}); err == nil {
 		t.Fatal("deleting a missing answer should fail")
 	}
 }

@@ -277,12 +277,16 @@ func SumFromParts(q *cq.Query, w order.Sum, p *SumParts) (*Sum, error) {
 	return &Sum{Query: q, Weights: w, answers: answers, weights: p.Weights}, nil
 }
 
-// MatParts is SumParts for materialized structures; Weights is nil for
+// MatParts is SumParts for materialized structures, plus the realized
+// order they were sorted by: Lex, or Sum when BySum. Weights is nil for
 // lex materializations.
 type MatParts struct {
 	NumVars int
 	Flat    []values.Value
 	Weights []float64
+	Lex     order.Lex
+	Sum     order.Sum
+	BySum   bool
 }
 
 // Parts exports the materialized answers as one flat array (copied).
@@ -292,7 +296,7 @@ func (m *Materialized) Parts() *MatParts {
 	for _, a := range m.answers {
 		flat = append(flat, a...)
 	}
-	return &MatParts{NumVars: nv, Flat: flat, Weights: m.weights}
+	return &MatParts{NumVars: nv, Flat: flat, Weights: m.weights, Lex: m.lex, Sum: m.sum, BySum: m.bySum}
 }
 
 // MatFromParts reconstructs a Materialized for q.
@@ -304,7 +308,7 @@ func MatFromParts(q *cq.Query, p *MatParts) (*Materialized, error) {
 	if p.Weights != nil && len(p.Weights) != len(answers) {
 		return nil, fmt.Errorf("access: %d weights for %d answers", len(p.Weights), len(answers))
 	}
-	return &Materialized{Query: q, answers: answers, weights: p.Weights}, nil
+	return &Materialized{Query: q, answers: answers, weights: p.Weights, lex: p.Lex, sum: p.Sum, bySum: p.BySum}, nil
 }
 
 // sliceAnswers carves a flat row-major answer array into per-answer

@@ -67,21 +67,18 @@ func (s *Sum) Rank(a order.Answer) (int64, bool) {
 	return int64(lo), exact
 }
 
-// RankLex returns the number of answers strictly preceding the given
-// tuple in the lex materialization's total order (l, ties by head), and
+// Rank returns the number of answers strictly preceding the given
+// tuple in the materialization's realized order (see Compare), and
 // whether the tuple is itself an answer. Runs in O(log n).
-func (m *Materialized) RankLex(a order.Answer, l order.Lex) (int64, bool) {
-	lo := sort.Search(len(m.answers), func(i int) bool {
-		return compareFull(m.Query, l, m.answers[i], a) >= 0
-	})
-	exact := lo < len(m.answers) && compareFull(m.Query, l, m.answers[lo], a) == 0
-	return int64(lo), exact
-}
-
-// RankSum is RankLex for SUM materializations: rank in the (weight,
-// head) order.
-func (m *Materialized) RankSum(a order.Answer, w order.Sum) (int64, bool) {
-	wa := w.AnswerWeight(m.Query, a)
+func (m *Materialized) Rank(a order.Answer) (int64, bool) {
+	if !m.bySum {
+		lo := sort.Search(len(m.answers), func(i int) bool {
+			return compareFull(m.Query, m.lex, m.answers[i], a) >= 0
+		})
+		exact := lo < len(m.answers) && compareFull(m.Query, m.lex, m.answers[lo], a) == 0
+		return int64(lo), exact
+	}
+	wa := m.sum.AnswerWeight(m.Query, a)
 	lo := sort.Search(len(m.answers), func(i int) bool {
 		wi := wa
 		if m.weights != nil {

@@ -1,6 +1,7 @@
 package access
 
 import (
+	"context"
 	"sort"
 
 	"rankedaccess/internal/classify"
@@ -155,6 +156,25 @@ func (s *Sum) Access(k int64) (order.Answer, error) {
 	}
 	return a, nil
 }
+
+// AnswerAt implements Ranked.
+func (s *Sum) AnswerAt(_ context.Context, dst order.Answer, k int64) (order.Answer, error) {
+	return sortedAnswerAt(s.answers, s.project, dst, k)
+}
+
+// AppendWindow implements Ranked.
+func (s *Sum) AppendWindow(_ context.Context, dst []values.Value, k0, k1 int64) ([]values.Value, error) {
+	return appendSortedWindow(s.answers, s.Query.Head, dst, k0, k1)
+}
+
+// RankOf implements Ranked; it never fails.
+func (s *Sum) RankOf(_ context.Context, a order.Answer) (int64, bool, error) {
+	r, member := s.Rank(a)
+	return r, member, nil
+}
+
+// Compare implements Ranked: ascending weight, ties by head values.
+func (s *Sum) Compare(a, b order.Answer) int { return CompareSumTotal(s.Query, s.Weights, a, b) }
 
 // WeightAt returns the weight of the k-th answer.
 func (s *Sum) WeightAt(k int64) (float64, error) {

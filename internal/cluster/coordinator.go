@@ -9,12 +9,14 @@ import (
 
 	"rankedaccess/internal/access"
 	"rankedaccess/internal/classify"
+	"rankedaccess/internal/cq"
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/metrics"
 	"rankedaccess/internal/order"
 	"rankedaccess/internal/rpc"
 	"rankedaccess/internal/shard"
 	"rankedaccess/internal/trace"
+	"rankedaccess/internal/values"
 )
 
 // Coordinator implements engine.RemoteBuilder over a cluster: it plans
@@ -182,29 +184,26 @@ func (c *Coordinator) BuildRemote(ctx context.Context, s engine.Spec) (*engine.R
 		}
 	}
 
-	// One remote part per global shard, probing its owner with the
-	// exact spec (including Owned) the owner cached its build under.
-	parts := make([]shard.RemotePart, pl.pt.P)
-	rankPeers := make([]rankPeer, len(peers))
-	for i, p := range peers {
-		rankPeers[i] = rankPeer{c: p.Client, spec: specs[i], version: infos[i].Version, owned: p.Shards}
-		for _, sIdx := range p.Shards {
-			parts[sIdx] = &clusterPart{c: p.Client, spec: specs[i], version: infos[i].Version, shard: sIdx}
-		}
-	}
-	// Seed part totals from the Prepare responses so constructing the
-	// handle performs no extra RPCs.
-	for i, p := range peers {
-		for j, sIdx := range p.Shards {
-			parts[sIdx].(*clusterPart).total = infos[i].Totals[j]
-		}
-	}
-
 	cmp, verdict, err := c.comparator(pl, mode, completed)
 	if err != nil {
 		return nil, err
 	}
-	sh := shard.NewRemote(pl.ps.Q, pl.pt, parts, cmp, &clusterRanker{peers: rankPeers, p: pl.pt.P, tracer: c.tracer}, completed)
+	// One remote part per global shard, probing its owner with the
+	// exact spec (including Owned) the owner cached its build under.
+	// Part totals come from the Prepare responses, so constructing the
+	// handle performs no extra RPCs.
+	parts := make([]access.Ranked, pl.pt.P)
+	rankPeers := make([]rankPeer, len(peers))
+	for i, p := range peers {
+		rankPeers[i] = rankPeer{c: p.Client, spec: specs[i], version: infos[i].Version, owned: p.Shards}
+		for j, sIdx := range p.Shards {
+			parts[sIdx] = &clusterPart{
+				c: p.Client, spec: specs[i], version: infos[i].Version, shard: sIdx,
+				total: infos[i].Totals[j], head: pl.ps.Q.Head, cmp: cmp,
+			}
+		}
+	}
+	sh := shard.NewRemote(pl.ps.Q, pl.pt, parts, &clusterRanker{peers: rankPeers, p: pl.pt.P, tracer: c.tracer}, completed)
 	return &engine.RemoteHandle{
 		Query: pl.ps.Q,
 		Plan: engine.Plan{
@@ -214,8 +213,7 @@ func (c *Coordinator) BuildRemote(ctx context.Context, s engine.Spec) (*engine.R
 			Shards:    pl.pt.P,
 			ShardBy:   pl.pt.VarName,
 		},
-		Sh:       sh,
-		NoInvert: pl.ps.IsSum,
+		Sh: sh,
 	}, nil
 }
 
@@ -290,20 +288,28 @@ func (c *Coordinator) CountRemote(ctx context.Context, query, by string) (int64,
 	return total, info, nil
 }
 
-// clusterPart is one global shard probed over RPC at its owner.
+// clusterPart is one global shard probed over RPC at its owner: an
+// access.Ranked whose windows prefetch through FetchRange.
 type clusterPart struct {
 	c       *rpc.Client
 	spec    rpc.Spec
 	version uint64
 	shard   int
 	total   int64
+	head    []cq.VarID
+	cmp     func(a, b order.Answer) int
 }
 
-var _ shard.RemotePart = (*clusterPart)(nil)
+var (
+	_ access.Ranked      = (*clusterPart)(nil)
+	_ shard.RangeFetcher = (*clusterPart)(nil)
+)
 
 func (p *clusterPart) Total() int64 { return p.total }
 
-func (p *clusterPart) Rank(ctx context.Context, a order.Answer) (int64, bool, error) {
+func (p *clusterPart) Compare(a, b order.Answer) int { return p.cmp(a, b) }
+
+func (p *clusterPart) RankOf(ctx context.Context, a order.Answer) (int64, bool, error) {
 	// Single-shard rank: reuse the batched call with this part's owner;
 	// it ranks all the node's shards, we pick ours. This path only runs
 	// when no BatchRanker is installed (not the cluster default).
@@ -319,8 +325,28 @@ func (p *clusterPart) Rank(ctx context.Context, a order.Answer) (int64, bool, er
 	return 0, false, fmt.Errorf("cluster: shard %d missing from rank response", p.shard)
 }
 
-func (p *clusterPart) Access(ctx context.Context, k int64) (order.Answer, error) {
+// AnswerAt returns the decoded answer itself: it is fresh, hence the
+// caller's, so copying it into dst would buy nothing.
+func (p *clusterPart) AnswerAt(ctx context.Context, _ order.Answer, k int64) (order.Answer, error) {
 	return p.c.Access(ctx, p.spec, p.version, p.shard, k)
+}
+
+// AppendWindow fetches the window in node-sized ranges.
+func (p *clusterPart) AppendWindow(ctx context.Context, dst []values.Value, k0, k1 int64) ([]values.Value, error) {
+	for k0 < k1 {
+		end := min(k1, k0+shard.MaxOwnedRange)
+		rows, err := p.FetchRange(ctx, k0, end)
+		if err != nil {
+			return dst, err
+		}
+		for _, a := range rows {
+			for _, v := range p.head {
+				dst = append(dst, a[v])
+			}
+		}
+		k0 = end
+	}
+	return dst, nil
 }
 
 func (p *clusterPart) FetchRange(ctx context.Context, k0, k1 int64) ([]order.Answer, error) {

@@ -7,7 +7,6 @@ import (
 	"iter"
 
 	"rankedaccess/internal/access"
-	"rankedaccess/internal/order"
 	"rankedaccess/internal/values"
 )
 
@@ -16,7 +15,9 @@ import (
 // instance mutated under them. Cursors no longer invalidate: every
 // cursor is pinned to the immutable epoch of the handle it was opened
 // on and streams its full result set regardless of concurrent writes.
-// No current code path returns this error.
+//
+// Deprecated: no code path returns this error. It stays, with its
+// HTTP 410 mapping, until the next major version (see CONTRIBUTING.md).
 var ErrCursorInvalidated = errors.New("engine: cursor invalidated by instance mutation")
 
 // cursorChunk is the batch width All uses for its internal AccessRange
@@ -39,14 +40,6 @@ const cursorChunk = 256
 type Cursor struct {
 	h   *Handle
 	pos int64
-
-	// buf is the cursor-owned probe scratch for single-step Next on an
-	// unsharded layered structure (lazily created). A dedicated buffer
-	// instead of the handle's pooled path keeps Next deterministically
-	// allocation-free: sync.Pool may shed entries (GC, and randomly
-	// under the race detector), a buffer owned by this single-consumer
-	// cursor cannot.
-	buf *access.LexBuf
 }
 
 // Cursor opens a cursor over the handle's immutable epoch, starting at
@@ -112,25 +105,9 @@ func (c *Cursor) Next(dst []values.Value) ([]values.Value, bool, error) {
 	if c.pos >= c.h.Total() {
 		return dst, false, nil
 	}
-	var err error
-	// The direct layered fast path applies only without an overlay: a
-	// merged epoch routes every probe through the overlay's two binary
-	// searches.
-	if lex := c.h.lex; lex != nil && c.h.ov == nil {
-		if c.buf == nil {
-			c.buf = lex.NewBuf()
-		}
-		var a order.Answer
-		a, err = lex.AccessInto(c.buf, c.pos)
-		if err != nil {
-			return dst, false, err
-		}
-		dst = c.h.AppendHeadTuple(dst, a)
-	} else {
-		dst, err = c.h.AppendTuple(dst, c.pos)
-		if err != nil {
-			return dst, false, err
-		}
+	dst, err := c.h.AppendTuple(dst, c.pos)
+	if err != nil {
+		return dst, false, err
 	}
 	c.pos++
 	return dst, true, nil

@@ -44,13 +44,13 @@ func (e *Engine) advance(s Spec, key specKey, stale *Handle, version uint64) *Ha
 		e.deltaSkips.Add(1)
 		return &nh
 	}
-	base := stale.ovBase
+	base := stale.base
 	if base == nil {
-		base = mergeBase(stale)
-	}
-	if base == nil {
-		e.deltaRebuilds.Add(1)
-		return nil
+		if !overlayEligible(stale) {
+			e.deltaRebuilds.Add(1)
+			return nil
+		}
+		base = stale.r
 	}
 	sp, ok := delta.CollectSpan(batches, stale.rels)
 	if !ok {
@@ -58,11 +58,7 @@ func (e *Engine) advance(s Spec, key specKey, stale *Handle, version uint64) *Ha
 		return nil
 	}
 	member := func(a order.Answer) bool {
-		if stale.ov != nil {
-			_, m := stale.ov.Rank(a)
-			return m
-		}
-		_, m := base.Rank(a)
+		_, m, _ := stale.r.RankOf(context.Background(), a)
 		return m
 	}
 	adds, dels := delta.Diff(stale.Query, e.in, sp, member)
@@ -71,7 +67,7 @@ func (e *Engine) advance(s Spec, key specKey, stale *Handle, version uint64) *Ha
 		e.deltaRebuilds.Add(1)
 		return nil
 	}
-	ov, err := access.NewOverlay(base, newAdds, newDels)
+	ov, err := access.NewOverlay(stale.Query, base, newAdds, newDels)
 	if err != nil {
 		// Construction errors mean the delta disagrees with the base
 		// (should not happen); a rebuild restores a known-good state.
@@ -80,7 +76,7 @@ func (e *Engine) advance(s Spec, key specKey, stale *Handle, version uint64) *Ha
 	}
 	nh := *stale
 	nh.version = version
-	nh.ov, nh.ovBase = ov, base
+	nh.r, nh.base = ov, base
 	nh.ovAdds, nh.ovDels = newAdds, newDels
 	e.deltaEpochs.Add(1)
 	if ov.Edits() > e.deltaSoft {
@@ -89,38 +85,14 @@ func (e *Engine) advance(s Spec, key specKey, stale *Handle, version uint64) *Ha
 	return &nh
 }
 
-// mergeBase adapts a handle's structure for overlay merging, or nil
-// when the handle is ineligible: sharded and FD-extended handles carry
-// per-shard state or extended answer spaces the answer-level delta
-// cannot edit, Boolean queries have no answer tuples, and SUM-ordered
-// handles qualify only when every summed variable is a head variable
-// (delta answers zero the existential slots, which would corrupt
-// weights otherwise).
-func mergeBase(h *Handle) *access.MergeBase {
-	if h.sh != nil || len(h.spec.FDs) > 0 || len(h.Query.Head) == 0 {
-		return nil
-	}
-	switch {
-	case h.lex != nil:
-		b, ok := access.BaseOfLex(h.lex)
-		if !ok {
-			return nil
-		}
-		return b
-	case h.sum != nil:
-		if !sumByInHead(h) {
-			return nil
-		}
-		return access.BaseOfSum(h.sum)
-	case h.mat != nil && h.matIsLex:
-		return access.BaseOfMatLex(h.mat, h.matLex)
-	case h.mat != nil:
-		if !sumByInHead(h) {
-			return nil
-		}
-		return access.BaseOfMatSum(h.mat, h.sumW)
-	}
-	return nil
+// overlayEligible reports whether a handle's structure can take a
+// delta overlay: sharded and FD-extended handles carry per-shard state
+// or extended answer spaces the answer-level delta cannot edit, Boolean
+// queries have no answer tuples, and SUM-ordered handles qualify only
+// when every summed variable is a head variable (delta answers zero the
+// existential slots, which would corrupt weights otherwise).
+func overlayEligible(h *Handle) bool {
+	return h.Plan.Shards == 0 && len(h.spec.FDs) == 0 && len(h.Query.Head) > 0 && sumByInHead(h)
 }
 
 // sumByInHead reports whether every summed variable of the handle's

@@ -189,6 +189,19 @@ type Plan struct {
 	// ShardNote records why a sharding request fell back to a single
 	// structure (empty when sharding succeeded or was not requested).
 	ShardNote string
+
+	// verdict is Verdict.String(), formatted once when the handle was
+	// built or rehydrated.
+	verdict string
+}
+
+// VerdictText returns the verdict with its certificate as text. Handles
+// carry it preformatted, so serving it costs no formatting per request.
+func (p Plan) VerdictText() string {
+	if p.verdict == "" {
+		return p.Verdict.String()
+	}
+	return p.verdict
 }
 
 // Handle is a prepared, immutable, concurrency-safe access structure.
@@ -210,31 +223,23 @@ type Handle struct {
 	// touching none of them republish the handle unchanged.
 	rels map[string]bool
 
-	lex      *access.Lex
-	sum      *access.Sum
-	mat      *access.Materialized
-	matIsLex bool      // the materialization is lex-sorted (not SUM-sorted)
-	matLex   order.Lex // realized order of a materialized-lex handle
-	sumW     order.Sum // weights of a SUM-ordered handle (sum or mat-sum)
+	// r answers every probe: the built structure (layered lex, SUM,
+	// materialized, sharded, or a sharded FD-extension view), or a
+	// delta overlay over it.
+	r access.Ranked
 
-	// Delta overlay: when ov is non-nil every probe goes through the
-	// merged view of ovBase (an adapter over lex/sum/mat) plus the
-	// answer-level edits ovAdds/ovDels accumulated since the base was
-	// built. Immutable, like everything else on a Handle: a catch-up
-	// publishes a new Handle with a new overlay.
-	ov     *access.Overlay
-	ovBase *access.MergeBase
+	// Delta overlay: base is the structure r merges over and
+	// ovAdds/ovDels are the answer-level edits accumulated since base
+	// was built; all nil while r is the built structure itself.
+	// Immutable, like everything else on a Handle: a catch-up publishes
+	// a new Handle with a new overlay.
+	base   access.Ranked
 	ovAdds []order.Answer
 	ovDels []order.Answer
 
-	// Sharded serving: sh merges per-shard structures; shProject maps a
-	// merged (possibly FD-extended) answer to the original query's
-	// shape, shExtend maps a caller answer into the merged shape for
-	// inverted access, and shNoInvert marks SUM groups (no inverse).
-	sh         *shard.Handle
-	shProject  func(order.Answer) order.Answer
-	shExtend   func(order.Answer) (order.Answer, bool)
-	shNoInvert bool
+	// partTotals and partNanos are the per-shard answer counts and
+	// build wall times of a sharded handle (nil when unsharded).
+	partTotals, partNanos []int64
 }
 
 // Version returns the instance version (epoch) the handle answers for.
@@ -242,28 +247,10 @@ func (h *Handle) Version() uint64 { return h.version }
 
 // DeltaEdits returns the number of answer-level edits the handle's
 // overlay carries (0 for a handle serving its base structure directly).
-func (h *Handle) DeltaEdits() int {
-	if h.ov == nil {
-		return 0
-	}
-	return h.ov.Edits()
-}
+func (h *Handle) DeltaEdits() int { return len(h.ovAdds) + len(h.ovDels) }
 
 // Total returns |Q(I)| as of the handle's build.
-func (h *Handle) Total() int64 {
-	switch {
-	case h.ov != nil:
-		return h.ov.Total()
-	case h.sh != nil:
-		return h.sh.Total()
-	case h.lex != nil:
-		return h.lex.Total()
-	case h.sum != nil:
-		return h.sum.Total()
-	default:
-		return h.mat.Total()
-	}
-}
+func (h *Handle) Total() int64 { return h.r.Total() }
 
 // Access returns the k-th answer in the handle's order.
 func (h *Handle) Access(k int64) (order.Answer, error) {
@@ -274,56 +261,23 @@ func (h *Handle) Access(k int64) (order.Answer, error) {
 // the context rides the network scatter (trace propagation, deadline);
 // in-process structures ignore it.
 func (h *Handle) AccessCtx(ctx context.Context, k int64) (order.Answer, error) {
-	switch {
-	case h.ov != nil:
-		return h.ov.Access(k)
-	case h.sh != nil:
-		a, err := h.sh.AccessCtx(ctx, k)
-		if err != nil {
-			return nil, err
-		}
-		if h.shProject != nil {
-			a = h.shProject(a)
-		}
-		return a, nil
-	case h.lex != nil:
-		return h.lex.Access(k)
-	case h.sum != nil:
-		return h.sum.Access(k)
-	default:
-		return h.mat.Access(k)
-	}
+	return h.r.AnswerAt(ctx, nil, k)
 }
 
-// Inverted returns the index of an answer, when the underlying structure
-// supports it (layered and materialized lex structures do; SUM-sorted
-// structures do not).
+// Inverted returns the index of an answer. SUM-ordered handles have no
+// inverse (ErrNoInverted); layered and materialized lex structures do.
 func (h *Handle) Inverted(a order.Answer) (int64, error) {
-	switch {
-	case h.ov != nil:
-		if h.sum != nil || (h.mat != nil && !h.matIsLex) {
-			return 0, ErrNoInverted
-		}
-		return h.ov.Inverted(a)
-	case h.sh != nil:
-		if h.shNoInvert {
-			return 0, ErrNoInverted
-		}
-		if h.shExtend != nil {
-			ext, ok := h.shExtend(a)
-			if !ok {
-				return 0, access.ErrNotAnAnswer
-			}
-			a = ext
-		}
-		return h.sh.Inverted(a)
-	case h.lex != nil:
-		return h.lex.Inverted(a)
-	case h.matIsLex:
-		return h.mat.Inverted(a, h.matLex)
-	default:
+	if len(h.spec.SumBy) > 0 {
 		return 0, ErrNoInverted
 	}
+	k, member, err := h.r.RankOf(context.Background(), a)
+	if err != nil {
+		return 0, err
+	}
+	if !member {
+		return 0, access.ErrNotAnAnswer
+	}
+	return k, nil
 }
 
 // HeadTuple projects an answer onto the query head, in head order.
@@ -345,52 +299,26 @@ func (h *Handle) Width() int { return len(h.Query.Head) }
 
 // ShardBuildNanos returns the per-shard build wall times of a sharded
 // handle (nil when unsharded), for benchmarking and diagnostics.
-func (h *Handle) ShardBuildNanos() []int64 {
-	if h.sh == nil {
-		return nil
-	}
-	return append([]int64(nil), h.sh.BuildNanos...)
-}
+func (h *Handle) ShardBuildNanos() []int64 { return slices.Clone(h.partNanos) }
 
 // ShardTotals returns the per-shard answer counts of a sharded handle
 // (nil when unsharded).
-func (h *Handle) ShardTotals() []int64 {
-	if h.sh == nil {
-		return nil
-	}
-	return h.sh.PartTotals()
-}
+func (h *Handle) ShardTotals() []int64 { return slices.Clone(h.partTotals) }
 
 // AppendTuple appends the head tuple of the k-th answer to dst and
-// returns the extended slice. On the layered structure this is the
-// zero-allocation access path (probe scratch comes from a pool, output
-// goes into dst); the other structures only pay dst growth.
+// returns the extended slice. Every structure serves it as a one-answer
+// window; the layered structure's runs allocation-free on stack
+// scratch, so all structures only pay dst growth.
 func (h *Handle) AppendTuple(dst []values.Value, k int64) ([]values.Value, error) {
 	return h.AppendTupleCtx(context.Background(), dst, k)
 }
 
 // AppendTupleCtx is AppendTuple with a caller context (see AccessCtx).
 func (h *Handle) AppendTupleCtx(ctx context.Context, dst []values.Value, k int64) ([]values.Value, error) {
-	switch {
-	case h.ov != nil:
-		return h.ov.AppendTuple(dst, k)
-	case h.sh != nil:
-		return h.sh.AppendTupleCtx(ctx, dst, h.Query.Head, k)
-	case h.lex != nil:
-		return h.lex.AppendTuple(dst, k)
-	case h.sum != nil:
-		a, err := h.sum.Access(k)
-		if err != nil {
-			return dst, err
-		}
-		return h.AppendHeadTuple(dst, a), nil
-	default:
-		a, err := h.mat.Access(k)
-		if err != nil {
-			return dst, err
-		}
-		return h.AppendHeadTuple(dst, a), nil
+	if k < 0 || k >= h.r.Total() {
+		return dst, access.ErrOutOfBound
 	}
+	return h.r.AppendWindow(ctx, dst, k, k+1)
 }
 
 // AccessRange appends the head tuples of answers k0 ≤ k < k1 to dst
@@ -407,23 +335,7 @@ func (h *Handle) AccessRangeCtx(ctx context.Context, dst []values.Value, k0, k1 
 	if k0 < 0 || k1 < k0 {
 		return dst, fmt.Errorf("engine: bad access range [%d, %d)", k0, k1)
 	}
-	if h.ov != nil {
-		return h.ov.AppendRange(dst, k0, k1)
-	}
-	if h.sh != nil {
-		return h.sh.AppendRangeCtx(ctx, dst, h.Query.Head, k0, k1)
-	}
-	if h.lex != nil {
-		return h.lex.AppendRange(dst, k0, k1)
-	}
-	for k := k0; k < k1; k++ {
-		var err error
-		dst, err = h.AppendTupleCtx(ctx, dst, k)
-		if err != nil {
-			return dst, err
-		}
-	}
-	return dst, nil
+	return h.r.AppendWindow(ctx, dst, k0, k1)
 }
 
 // Stats is a snapshot of engine counters.
@@ -1170,14 +1082,27 @@ func (e *Engine) logBuild(ctx context.Context, s Spec, version uint64, rebuild b
 	e.log.LogAttrs(ctx, level, "engine: structure build", attrs...)
 }
 
-// build plans and constructs a structure; the caller holds mu.RLock, so
-// the instance is stable throughout. Layered-lex builds check ctx at
-// every preprocessing wave boundary; the other structure kinds check it
-// once before their (uninterruptible) construction.
+// build plans and constructs a structure, on this process or (on a
+// coordinator) through the RemoteBuilder; the caller holds mu.RLock, so
+// the instance is stable throughout.
 func (e *Engine) build(ctx context.Context, s Spec) (*Handle, error) {
+	build := e.buildLocal
 	if e.remote != nil {
-		return e.buildRemote(ctx, s)
+		build = e.buildRemote
 	}
+	h, err := build(ctx, s)
+	if err != nil {
+		return nil, err
+	}
+	h.Plan.verdict = h.Plan.Verdict.String()
+	return h, nil
+}
+
+// buildLocal is build over the engine's own instance. Layered-lex
+// builds check ctx at every preprocessing wave boundary; the other
+// structure kinds check it once before their (uninterruptible)
+// construction.
+func (e *Engine) buildLocal(ctx context.Context, s Spec) (*Handle, error) {
 	p, err := s.parse()
 	if err != nil {
 		return nil, err
@@ -1197,7 +1122,6 @@ func (e *Engine) build(ctx context.Context, s Spec) (*Handle, error) {
 	h := &Handle{Query: p.q, spec: s, rels: queryRels(p.q)}
 	var wfd classify.WithFDs // FD witness, reused by the sharded builders
 	if p.sum {
-		h.sumW = p.w
 		if len(p.fds) == 0 {
 			h.Plan.Verdict = classify.DirectAccessSum(p.q)
 		} else {
@@ -1214,7 +1138,7 @@ func (e *Engine) build(ctx context.Context, s Spec) (*Handle, error) {
 				sa, err = access.BuildSumFD(p.q, e.in, p.w, p.fds)
 			}
 			if err == nil {
-				h.Plan.Mode, h.Plan.Tractable, h.sum = ModeSum, true, sa
+				h.Plan.Mode, h.Plan.Tractable, h.r = ModeSum, true, sa
 				return h, nil
 			}
 			var ie *access.IntractableError
@@ -1229,7 +1153,7 @@ func (e *Engine) build(ctx context.Context, s Spec) (*Handle, error) {
 		if shards > 1 && e.shardMaterialized(h, p, s.ShardBy, shards) {
 			return h, nil
 		}
-		h.mat = access.BuildMaterializedSum(p.q, e.in, p.w)
+		h.r = access.BuildMaterializedSum(p.q, e.in, p.w)
 		return h, nil
 	}
 
@@ -1252,7 +1176,7 @@ func (e *Engine) build(ctx context.Context, s Spec) (*Handle, error) {
 			return nil, err
 		}
 		if err == nil {
-			h.Plan.Mode, h.Plan.Tractable, h.lex = ModeLayeredLex, true, la
+			h.Plan.Mode, h.Plan.Tractable, h.r = ModeLayeredLex, true, la
 			return h, nil
 		}
 		var ie *access.IntractableError
@@ -1267,9 +1191,7 @@ func (e *Engine) build(ctx context.Context, s Spec) (*Handle, error) {
 	if shards > 1 && e.shardMaterialized(h, p, s.ShardBy, shards) {
 		return h, nil
 	}
-	h.mat = access.BuildMaterializedLex(p.q, e.in, p.l)
-	h.matIsLex = true
-	h.matLex = p.l
+	h.r = access.BuildMaterializedLex(p.q, e.in, p.l)
 	return h, nil
 }
 
@@ -1282,12 +1204,18 @@ func queryRels(q *cq.Query) map[string]bool {
 	return rels
 }
 
-// shardFallback records why a sharded build fell back and clears any
-// partial sharded state from the handle.
+// shardFallback records why a sharded build fell back.
 func (h *Handle) shardFallback(note string) bool {
 	h.Plan.ShardNote = note
-	h.sh, h.shProject, h.shExtend, h.shNoInvert = nil, nil, nil, false
 	return false
+}
+
+// serveSharded installs a sharded structure (r is sh itself, or an FD
+// view over it) with its plan.
+func (h *Handle) serveSharded(r access.Ranked, sh *shard.Handle, mode Mode) {
+	h.r, h.partTotals, h.partNanos = r, sh.PartTotals(), sh.BuildNanos
+	h.Plan.Mode, h.Plan.Tractable = mode, mode != ModeMaterialized
+	h.Plan.Shards, h.Plan.ShardBy = sh.Part.P, sh.Part.VarName
 }
 
 // shardLex attempts a sharded layered build for a tractable lex spec;
@@ -1300,6 +1228,7 @@ func (h *Handle) shardFallback(note string) bool {
 // false records a fallback note and leaves h untouched.
 func (e *Engine) shardLex(h *Handle, p *parsed, w classify.WithFDs, by string, shards int) bool {
 	q, in, l := p.q, e.in, p.l
+	var extend func(order.Answer) (order.Answer, bool)
 	if len(p.fds) > 0 {
 		if w.Ext == nil {
 			return h.shardFallback("no FD extension available")
@@ -1311,13 +1240,9 @@ func (e *Engine) shardLex(h *Handle, p *parsed, w classify.WithFDs, by string, s
 		if err != nil {
 			return h.shardFallback(err.Error())
 		}
-		extender, err := w.Ext.AnswerExtender(p.q, e.in)
-		if err != nil {
+		if extend, err = w.Ext.AnswerExtender(p.q, e.in); err != nil {
 			return h.shardFallback(err.Error())
 		}
-		orig := p.q
-		h.shProject = func(a order.Answer) order.Answer { return fd.ProjectAnswer(orig, a) }
-		h.shExtend = extender
 		q, in, l = w.Ext.Query, iplus, w.LPlus
 	}
 	pt, err := shard.Choose(q, by, shards)
@@ -1328,9 +1253,7 @@ func (e *Engine) shardLex(h *Handle, p *parsed, w classify.WithFDs, by string, s
 	if err != nil {
 		return h.shardFallback(err.Error())
 	}
-	h.sh = sh
-	h.Plan.Mode, h.Plan.Tractable = ModeLayeredLex, true
-	h.Plan.Shards, h.Plan.ShardBy = pt.P, pt.VarName
+	h.serveSharded(viewFD(p.q, sh, extend), sh, ModeLayeredLex)
 	return true
 }
 
@@ -1350,8 +1273,6 @@ func (e *Engine) shardSum(h *Handle, p *parsed, w classify.WithFDs, by string, s
 		if err != nil {
 			return h.shardFallback(err.Error())
 		}
-		orig := p.q
-		h.shProject = func(a order.Answer) order.Answer { return fd.ProjectAnswer(orig, a) }
 		q, in = w.Ext.Query, iplus
 	}
 	pt, err := shard.Choose(q, by, shards)
@@ -1362,10 +1283,7 @@ func (e *Engine) shardSum(h *Handle, p *parsed, w classify.WithFDs, by string, s
 	if err != nil {
 		return h.shardFallback(err.Error())
 	}
-	h.sh = sh
-	h.shNoInvert = true
-	h.Plan.Mode, h.Plan.Tractable = ModeSum, true
-	h.Plan.Shards, h.Plan.ShardBy = pt.P, pt.VarName
+	h.serveSharded(viewFD(p.q, sh, nil), sh, ModeSum)
 	return true
 }
 
@@ -1382,17 +1300,75 @@ func (e *Engine) shardMaterialized(h *Handle, p *parsed, by string, shards int) 
 	var sh *shard.Handle
 	if p.sum {
 		sh, err = shard.BuildMaterializedSum(p.q, e.in, p.w, pt)
-		h.shNoInvert = true
 	} else {
 		sh, err = shard.BuildMaterializedLex(p.q, e.in, p.l, pt)
 	}
 	if err != nil {
 		return h.shardFallback(err.Error())
 	}
-	h.sh = sh
-	h.Plan.Mode = ModeMaterialized
-	h.Plan.Shards, h.Plan.ShardBy = pt.P, pt.VarName
+	h.serveSharded(sh, sh, ModeMaterialized)
 	return true
+}
+
+// fdView serves a structure built over an FD-extension Q⁺ as one for
+// the original query q: answers are projected back onto q, and caller
+// tuples are extended to Q⁺ before ranking (extend is nil for SUM
+// orders, which have no inverse). Q⁺ shares q's variable ids and
+// appends its promoted variables to q's head, so every Q⁺ head tuple
+// starts with the q head tuple.
+type fdView struct {
+	access.Ranked
+	q      *cq.Query
+	wide   int // Q⁺'s head width
+	extend func(order.Answer) (order.Answer, bool)
+}
+
+// viewFD wraps sh in an fdView when it was built over an FD-extension
+// of q, and returns it unchanged otherwise.
+func viewFD(q *cq.Query, sh *shard.Handle, extend func(order.Answer) (order.Answer, bool)) access.Ranked {
+	if sh.Query == q {
+		return sh
+	}
+	return fdView{Ranked: sh, q: q, wide: len(sh.Query.Head), extend: extend}
+}
+
+func (v fdView) AnswerAt(ctx context.Context, dst order.Answer, k int64) (order.Answer, error) {
+	a, err := v.Ranked.AnswerAt(ctx, dst, k)
+	if err != nil {
+		return nil, err
+	}
+	return fd.ProjectAnswer(v.q, a), nil
+}
+
+// AppendWindow keeps the leading q columns of every Q⁺ head tuple,
+// compacting the appended rows in place.
+func (v fdView) AppendWindow(ctx context.Context, dst []values.Value, k0, k1 int64) ([]values.Value, error) {
+	narrow := len(v.q.Head)
+	if v.wide == narrow {
+		return v.Ranked.AppendWindow(ctx, dst, k0, k1)
+	}
+	start := len(dst)
+	dst, err := v.Ranked.AppendWindow(ctx, dst, k0, k1)
+	n := (len(dst) - start) / v.wide
+	for i := 0; i < n; i++ {
+		row := dst[start+i*v.wide:]
+		copy(dst[start+i*narrow:start+(i+1)*narrow], row[:narrow])
+	}
+	return dst[:start+n*narrow], err
+}
+
+// RankOf ranks the tuple's Q⁺ extension; a tuple with no extension
+// disagrees with the FDs and is no answer.
+func (v fdView) RankOf(ctx context.Context, a order.Answer) (int64, bool, error) {
+	if v.extend == nil {
+		return v.Ranked.RankOf(ctx, a)
+	}
+	ext, ok := v.extend(a)
+	if !ok {
+		r, _, err := v.Ranked.RankOf(ctx, a)
+		return r, false, err
+	}
+	return v.Ranked.RankOf(ctx, ext)
 }
 
 // Access is Prepare plus a batch of probes in one call: it returns the

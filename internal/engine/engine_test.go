@@ -92,6 +92,60 @@ func TestPlanFallsBackToMaterialized(t *testing.T) {
 	}
 }
 
+// TestNoInvertedForSumHandles pins that every SUM-ordered handle —
+// plain, carrying a delta overlay, or sharded — refuses inverted access,
+// while a lex handle with an overlay still answers it.
+func TestNoInvertedForSumHandles(t *testing.T) {
+	e := New(smallInstance(), Options{})
+	sum := Spec{Query: "Q(x, y) :- R(x, y)", SumBy: []string{"x", "y"}}
+	lex := Spec{Query: "Q(x, y) :- R(x, y)", Order: "x, y"}
+	for _, s := range []Spec{sum, lex} {
+		if _, err := e.Prepare(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.AddRows("R", [][]values.Value{{7, 7}}); err != nil {
+		t.Fatal(err)
+	}
+	sharded := sum
+	sharded.Shards = 2
+	for _, s := range []Spec{sum, sharded} {
+		h, err := e.Prepare(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Shards == 0 && h.DeltaEdits() == 0 {
+			t.Fatal("write did not publish an overlay epoch")
+		}
+		if s.Shards != 0 && h.Plan.Shards != 2 {
+			t.Fatalf("plan = %+v, want 2 shards", h.Plan)
+		}
+		a, err := h.Access(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Inverted(a); !errors.Is(err, ErrNoInverted) {
+			t.Fatalf("shards=%d: inverted err = %v, want ErrNoInverted", s.Shards, err)
+		}
+	}
+	h, err := e.Prepare(lex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.DeltaEdits() == 0 {
+		t.Fatal("write did not publish an overlay epoch")
+	}
+	for k := int64(0); k < h.Total(); k++ {
+		a, err := h.Access(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := h.Inverted(a); err != nil || got != k {
+			t.Fatalf("overlay lex Inverted(answer %d) = %d, %v", k, got, err)
+		}
+	}
+}
+
 func TestPlanSumModes(t *testing.T) {
 	e := New(smallInstance(), Options{})
 	h, err := e.Prepare(Spec{Query: "Q(x, y) :- R(x, y)", SumBy: []string{"x", "y"}})

@@ -118,7 +118,7 @@ func (e *Engine) checkpointLocked(dir string) (CheckpointInfo, error) {
 		// Only structures answering for the checkpointed version persist;
 		// a stale handle or an overlay epoch (whose edits have no flat
 		// encoding) simply rebuilds on demand after a warm start.
-		if h.version != e.version || h.ov != nil {
+		if h.version != e.version || h.base != nil {
 			info.Skipped++
 			continue
 		}
@@ -414,7 +414,6 @@ func (e *Engine) rehydrate(f *snapshot.File, sm *snapshot.StructureMeta) (*Handl
 	h := &Handle{Query: p.q, spec: s, rels: queryRels(p.q)}
 	if p.sum {
 		h.Plan.Verdict = classify.DirectAccessSum(p.q)
-		h.sumW = p.w
 	} else {
 		h.Plan.Verdict = classify.DirectAccessLex(p.q, p.l)
 	}
@@ -435,7 +434,7 @@ func (e *Engine) rehydrate(f *snapshot.File, sm *snapshot.StructureMeta) (*Handl
 		if la.Total() != sm.Total {
 			return nil, fmt.Errorf("structure total %d, meta claims %d", la.Total(), sm.Total)
 		}
-		h.Plan.Mode, h.lex = ModeLayeredLex, la
+		h.Plan.Mode, h.r = ModeLayeredLex, la
 	case snapshot.KindSum:
 		if !p.sum {
 			return nil, fmt.Errorf("SUM structure for a lex spec")
@@ -450,7 +449,7 @@ func (e *Engine) rehydrate(f *snapshot.File, sm *snapshot.StructureMeta) (*Handl
 		if err != nil {
 			return nil, err
 		}
-		h.Plan.Mode, h.sum = ModeSum, sa
+		h.Plan.Mode, h.r = ModeSum, sa
 	case snapshot.KindMaterialized:
 		if sm.MatIsLex == p.sum {
 			return nil, fmt.Errorf("materialized order kind disagrees with the spec")
@@ -459,20 +458,19 @@ func (e *Engine) rehydrate(f *snapshot.File, sm *snapshot.StructureMeta) (*Handl
 		if err != nil {
 			return nil, err
 		}
+		mp.Lex, mp.Sum, mp.BySum = p.l, p.w, p.sum
 		ma, err := access.MatFromParts(p.q, mp)
 		if err != nil {
 			return nil, err
 		}
-		h.Plan.Mode, h.mat = ModeMaterialized, ma
-		if sm.MatIsLex {
-			h.matIsLex, h.matLex = true, p.l
-		}
+		h.Plan.Mode, h.r = ModeMaterialized, ma
 	default:
 		return nil, fmt.Errorf("unknown structure kind %q", sm.Kind)
 	}
 	if h.Total() != sm.Total {
 		return nil, fmt.Errorf("structure total %d, meta claims %d", h.Total(), sm.Total)
 	}
+	h.Plan.verdict = h.Plan.Verdict.String()
 	return h, nil
 }
 
@@ -488,12 +486,12 @@ func structureMeta(b *snapshot.Builder, h *Handle) (snapshot.StructureMeta, bool
 		AnswersCol: snapshot.NoCol,
 		WeightsCol: snapshot.NoCol,
 	}
-	if h.sh != nil || len(h.spec.FDs) > 0 {
+	if len(h.spec.FDs) > 0 {
 		return sm, false
 	}
-	switch {
-	case h.lex != nil:
-		lp, ok := h.lex.Parts()
+	switch st := h.r.(type) {
+	case *access.Lex:
+		lp, ok := st.Parts()
 		if !ok {
 			return sm, false
 		}
@@ -520,8 +518,8 @@ func structureMeta(b *snapshot.Builder, h *Handle) (snapshot.StructureMeta, bool
 			sm.Layers = append(sm.Layers, lm)
 		}
 		return sm, true
-	case h.sum != nil:
-		sp, ok := h.sum.Parts()
+	case *access.Sum:
+		sp, ok := st.Parts()
 		if !ok {
 			return sm, false
 		}
@@ -534,14 +532,14 @@ func structureMeta(b *snapshot.Builder, h *Handle) (snapshot.StructureMeta, bool
 		sm.AnswersCol = b.I64Col(sp.Flat)
 		sm.WeightsCol = b.F64Col(sp.Weights)
 		return sm, true
-	default:
-		mp := h.mat.Parts()
-		if mp.NumVars == 0 && h.mat.Total() > 0 {
+	case *access.Materialized:
+		mp := st.Parts()
+		if mp.NumVars == 0 && st.Total() > 0 {
 			return sm, false // variable-free answers do not flat-encode
 		}
 		sm.Kind = snapshot.KindMaterialized
 		sm.NumVars = mp.NumVars
-		sm.MatIsLex = h.matIsLex
+		sm.MatIsLex = !mp.BySum
 		if mp.NumVars > 0 {
 			sm.Rows = len(mp.Flat) / mp.NumVars
 		}
@@ -550,6 +548,8 @@ func structureMeta(b *snapshot.Builder, h *Handle) (snapshot.StructureMeta, bool
 			sm.WeightsCol = b.F64Col(mp.Weights)
 		}
 		return sm, true
+	default: // sharded structures and overlays
+		return sm, false
 	}
 }
 

@@ -64,6 +64,9 @@ func TestCheckpointOpenRoundTrip(t *testing.T) {
 		}
 		want[i] = probeAll(t, h)
 		totals[i] = h.Total()
+		if h.Plan.verdict == "" || h.Plan.verdict != h.Plan.Verdict.String() {
+			t.Fatalf("spec %d: built verdict text %q, want it preformatted", i, h.Plan.verdict)
+		}
 	}
 	if _, err := e.Register("roundtrip", snapSpecs[0]); err != nil {
 		t.Fatal(err)
@@ -107,6 +110,9 @@ func TestCheckpointOpenRoundTrip(t *testing.T) {
 		}
 		if h.Total() != totals[i] {
 			t.Fatalf("spec %d: warm total %d, want %d", i, h.Total(), totals[i])
+		}
+		if h.Plan.verdict == "" || h.Plan.verdict != h.Plan.Verdict.String() {
+			t.Fatalf("spec %d: rehydrated verdict text %q, want it preformatted", i, h.Plan.verdict)
 		}
 		if got := probeAll(t, h); !reflect.DeepEqual(got, want[i]) {
 			t.Fatalf("spec %d: warm answers %v, want %v", i, got, want[i])

@@ -443,7 +443,7 @@ func buildAccessResponse(ctx context.Context, h *engine.Handle, ks []int64) (acc
 		Total:     h.Total(),
 		Mode:      string(h.Plan.Mode),
 		Tractable: h.Plan.Tractable,
-		Verdict:   h.Plan.Verdict.String(),
+		Verdict:   h.Plan.VerdictText(),
 		shardEcho: shardInfo(h.Plan),
 		Answers:   make([]accessAnswer, len(ks)),
 	}

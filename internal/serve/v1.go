@@ -74,6 +74,7 @@ func statusFor(err error) int {
 		return http.StatusRequestedRangeNotSatisfiable
 	case errors.Is(err, access.ErrIntractable):
 		return http.StatusUnprocessableEntity
+	//lint:ignore SA1019 the 410 mapping stays until the next major version
 	case errors.Is(err, engine.ErrCursorInvalidated):
 		return http.StatusGone
 	case errors.Is(err, rpc.ErrUnavailable):
@@ -126,7 +127,7 @@ func infoOf(pi engine.PreparedInfo) queryInfo {
 		FDs:       pi.Spec.FDs,
 		Mode:      string(pi.Plan.Mode),
 		Tractable: pi.Plan.Tractable,
-		Verdict:   pi.Plan.Verdict.String(),
+		Verdict:   pi.Plan.VerdictText(),
 		Total:     pi.Total,
 		Version:   pi.Version,
 		shardEcho: shardInfo(pi.Plan),
@@ -157,7 +158,7 @@ func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		}
 		if !h.Plan.Tractable {
 			failErr(w, fmt.Errorf("serve: strict registration of %q refused: %s: %w",
-				req.Name, h.Plan.Verdict.String(), access.ErrIntractable))
+				req.Name, h.Plan.VerdictText(), access.ErrIntractable))
 			return
 		}
 	}
@@ -448,7 +449,7 @@ func (s *server) handleCursorNext(w http.ResponseWriter, r *http.Request) {
 	flat, emitted, err := sc.cur.NextN((*flatP)[:0], n)
 	if err != nil {
 		putTupleBuf(flatP, flat)
-		s.cursorFail(sc, w, err)
+		failErr(w, err)
 		return
 	}
 	width := sc.cur.Width()
@@ -462,16 +463,6 @@ func (s *server) handleCursorNext(w http.ResponseWriter, r *http.Request) {
 	}
 	reply(w, resp)
 	putTupleBuf(flatP, flat)
-}
-
-// cursorFail reports a cursor error, dropping cursors that can never
-// answer again (invalidated by mutation) so the store does not pin
-// their handles.
-func (s *server) cursorFail(sc *serverCursor, w http.ResponseWriter, err error) {
-	if errors.Is(err, engine.ErrCursorInvalidated) {
-		s.st.remove(sc.id)
-	}
-	failErr(w, err)
 }
 
 func wantsNDJSON(r *http.Request) bool {
@@ -506,7 +497,7 @@ func (s *server) streamNDJSON(sc *serverCursor, w http.ResponseWriter, n int) {
 	// Bounds check + position commit in one step: a bad window fails
 	// here, before any header is written.
 	if _, err := cur.Seek(end, io.SeekStart); err != nil {
-		s.cursorFail(sc, w, err)
+		failErr(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")

@@ -42,11 +42,11 @@ func BuildLex(q *cq.Query, in *database.Instance, l order.Lex, pt Partitioning) 
 				i, las[i].Completed.Entries, completed.Entries)
 		}
 	}
-	parts := make([]part, pt.P)
+	parts := make([]access.Ranked, pt.P)
 	for i, la := range las {
-		parts[i] = lexPart{la: la}
+		parts[i] = la
 	}
-	h := newHandle(q, pt, parts, completed.Compare)
+	h := newHandle(q, pt, parts)
 	h.Completed = completed
 	h.BuildNanos = nanos
 	return h, nil
@@ -83,13 +83,11 @@ func BuildSum(q *cq.Query, in *database.Instance, w order.Sum, pt Partitioning) 
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]part, pt.P)
+	parts := make([]access.Ranked, pt.P)
 	for i, s := range sums {
-		parts[i] = sumPart{s: s}
+		parts[i] = s
 	}
-	h := newHandle(q, pt, parts, func(a, b order.Answer) int {
-		return access.CompareSumTotal(q, w, a, b)
-	})
+	h := newHandle(q, pt, parts)
 	h.BuildNanos = nanos
 	return h, nil
 }
@@ -98,44 +96,30 @@ func BuildSum(q *cq.Query, in *database.Instance, w order.Sum, pt Partitioning) 
 // shard materializes only its own slice of the (possibly intractable)
 // answer space, so the Θ(|Q(I)|) cost is split P ways across cores.
 func BuildMaterializedLex(q *cq.Query, in *database.Instance, l order.Lex, pt Partitioning) (*Handle, error) {
-	ins := Split(q, in, pt)
-	mats := make([]*access.Materialized, pt.P)
-	nanos := make([]int64, pt.P)
-	par.Do(pt.P, func(i int) {
-		start := time.Now()
-		mats[i] = access.BuildMaterializedLex(q, ins[i], l)
-		nanos[i] = time.Since(start).Nanoseconds()
-	})
-	parts := make([]part, pt.P)
-	for i, m := range mats {
-		parts[i] = matLexPart{m: m, l: l}
-	}
-	h := newHandle(q, pt, parts, func(a, b order.Answer) int {
-		return access.CompareLexTotal(q, l, a, b)
-	})
-	h.BuildNanos = nanos
-	return h, nil
+	return buildMaterialized(q, in, pt, func(si *database.Instance) *access.Materialized {
+		return access.BuildMaterializedLex(q, si, l)
+	}), nil
 }
 
 // BuildMaterializedSum is BuildMaterializedLex for SUM orders.
 func BuildMaterializedSum(q *cq.Query, in *database.Instance, w order.Sum, pt Partitioning) (*Handle, error) {
+	return buildMaterialized(q, in, pt, func(si *database.Instance) *access.Materialized {
+		return access.BuildMaterializedSum(q, si, w)
+	}), nil
+}
+
+func buildMaterialized(q *cq.Query, in *database.Instance, pt Partitioning, build func(*database.Instance) *access.Materialized) *Handle {
 	ins := Split(q, in, pt)
-	mats := make([]*access.Materialized, pt.P)
+	parts := make([]access.Ranked, pt.P)
 	nanos := make([]int64, pt.P)
 	par.Do(pt.P, func(i int) {
 		start := time.Now()
-		mats[i] = access.BuildMaterializedSum(q, ins[i], w)
+		parts[i] = build(ins[i])
 		nanos[i] = time.Since(start).Nanoseconds()
 	})
-	parts := make([]part, pt.P)
-	for i, m := range mats {
-		parts[i] = matSumPart{m: m, w: w}
-	}
-	h := newHandle(q, pt, parts, func(a, b order.Answer) int {
-		return access.CompareSumTotal(q, w, a, b)
-	})
+	h := newHandle(q, pt, parts)
 	h.BuildNanos = nanos
-	return h, nil
+	return h
 }
 
 // Count answers |Q(I)| by splitting the instance and counting every

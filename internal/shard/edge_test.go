@@ -52,11 +52,11 @@ func TestEmptyShardEdgeCases(t *testing.T) {
 	if empties != 15 {
 		t.Fatalf("%d empty shards, want 15", empties)
 	}
-	a, err := sh.Access(0)
+	a, err := sh.AnswerAt(bg, nil, 0)
 	if err != nil || a[q.Head[0]] != 1 || a[q.Head[1]] != 2 || a[q.Head[2]] != 3 {
 		t.Fatalf("Access(0) = %v, %v", a, err)
 	}
-	if _, err := sh.Access(1); !errors.Is(err, access.ErrOutOfBound) {
+	if _, err := sh.AnswerAt(bg, nil, 1); !errors.Is(err, access.ErrOutOfBound) {
 		t.Fatalf("Access(1) = %v, want ErrOutOfBound", err)
 	}
 	if n, err := Count(q, in, pt); err != nil || n != 1 {
@@ -85,7 +85,7 @@ func TestEmptyShardEdgeCases(t *testing.T) {
 	if err != nil || shs.Total() != 1 {
 		t.Fatalf("BuildSum with empty shards: err %v", err)
 	}
-	if _, err := shs.Access(1); !errors.Is(err, access.ErrOutOfBound) {
+	if _, err := shs.AnswerAt(bg, nil, 1); !errors.Is(err, access.ErrOutOfBound) {
 		t.Fatalf("SUM Access(1) = %v, want ErrOutOfBound", err)
 	}
 
@@ -101,7 +101,7 @@ func TestEmptyShardEdgeCases(t *testing.T) {
 	if sh.Total() != 0 {
 		t.Fatalf("empty instance Total = %d", sh.Total())
 	}
-	if _, err := sh.Access(0); !errors.Is(err, access.ErrOutOfBound) {
+	if _, err := sh.AnswerAt(bg, nil, 0); !errors.Is(err, access.ErrOutOfBound) {
 		t.Fatalf("empty instance Access(0) = %v, want ErrOutOfBound", err)
 	}
 	if n, err := Count(q, emptyIn, pt); err != nil || n != 0 {
@@ -159,7 +159,7 @@ func TestSplitP1Degenerate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sh.Access(k)
+		got, err := sh.AnswerAt(bg, nil, k)
 		if err != nil {
 			t.Fatal(err)
 		}

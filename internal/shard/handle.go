@@ -11,87 +11,20 @@ import (
 	"rankedaccess/internal/values"
 )
 
-// part is one shard's direct-access structure. access may return an
-// answer aliasing the given probe buffer (layered structures) or the
-// part's immutable storage (SUM / materialized); either way the result
-// is valid until the next access with the same buffer. The error
-// returns exist for parts served over the network (see NewRemote);
-// in-process parts never fail a rank.
-// The context parameter exists for the network path (deadlines, trace
-// propagation); in-process parts ignore it, so it costs nothing there.
-type part interface {
-	total() int64
-	rank(ctx context.Context, a order.Answer) (int64, bool, error)
-	access(ctx context.Context, k int64, b *access.LexBuf) (order.Answer, error)
-	newBuf() *access.LexBuf
-}
-
-// chunkedPart marks parts whose per-answer access pays a network round
-// trip: AppendRange prefetches windows of their local answers through
-// fetchRange instead of probing one answer at a time.
-type chunkedPart interface {
-	fetchRange(ctx context.Context, k0, k1 int64) ([]order.Answer, error)
-}
-
-type lexPart struct{ la *access.Lex }
-
-func (p lexPart) total() int64           { return p.la.Total() }
-func (p lexPart) newBuf() *access.LexBuf { return p.la.NewBuf() }
-func (p lexPart) rank(_ context.Context, a order.Answer) (int64, bool, error) {
-	r, ex := p.la.Rank(a)
-	return r, ex, nil
-}
-func (p lexPart) access(_ context.Context, k int64, b *access.LexBuf) (order.Answer, error) {
-	return p.la.AccessInto(b, k)
-}
-
-type sumPart struct{ s *access.Sum }
-
-func (p sumPart) total() int64           { return p.s.Total() }
-func (p sumPart) newBuf() *access.LexBuf { return nil }
-func (p sumPart) rank(_ context.Context, a order.Answer) (int64, bool, error) {
-	r, ex := p.s.Rank(a)
-	return r, ex, nil
-}
-func (p sumPart) access(_ context.Context, k int64, _ *access.LexBuf) (order.Answer, error) {
-	return p.s.Access(k)
-}
-
-type matLexPart struct {
-	m *access.Materialized
-	l order.Lex
-}
-
-func (p matLexPart) total() int64           { return p.m.Total() }
-func (p matLexPart) newBuf() *access.LexBuf { return nil }
-func (p matLexPart) rank(_ context.Context, a order.Answer) (int64, bool, error) {
-	r, ex := p.m.RankLex(a, p.l)
-	return r, ex, nil
-}
-func (p matLexPart) access(_ context.Context, k int64, _ *access.LexBuf) (order.Answer, error) {
-	return p.m.Access(k)
-}
-
-type matSumPart struct {
-	m *access.Materialized
-	w order.Sum
-}
-
-func (p matSumPart) total() int64           { return p.m.Total() }
-func (p matSumPart) newBuf() *access.LexBuf { return nil }
-func (p matSumPart) rank(_ context.Context, a order.Answer) (int64, bool, error) {
-	r, ex := p.m.RankSum(a, p.w)
-	return r, ex, nil
-}
-func (p matSumPart) access(_ context.Context, k int64, _ *access.LexBuf) (order.Answer, error) {
-	return p.m.Access(k)
+// RangeFetcher is the optional interface of parts whose per-answer
+// access pays a network round trip: AppendWindow merges prefetch
+// windows of their local answers through FetchRange instead of probing
+// one answer at a time.
+type RangeFetcher interface {
+	FetchRange(ctx context.Context, k0, k1 int64) ([]order.Answer, error)
 }
 
 // Handle merges P per-shard structures sharing one total answer order
-// into a single logical accessor. It is immutable after construction
-// and safe for any number of concurrent goroutines: per-probe scratch
-// comes from an internal pool, so steady-state accesses allocate
-// nothing beyond what the caller's destination slice needs.
+// into a single logical accessor, itself an access.Ranked. It is
+// immutable after construction and safe for any number of concurrent
+// goroutines: per-probe scratch comes from an internal pool, so
+// steady-state accesses allocate nothing beyond what the caller's
+// destination slice needs.
 type Handle struct {
 	// Query is the query the parts were built for (the FD-extension
 	// when the caller extended before sharding).
@@ -105,7 +38,7 @@ type Handle struct {
 	// scaling diagnostics. Read-only.
 	BuildNanos []int64
 
-	parts  []part
+	parts  []access.Ranked
 	totals []int64
 	total  int64
 	cmp    func(a, b order.Answer) int
@@ -120,27 +53,29 @@ type Handle struct {
 
 // probe is the per-call scratch of one merge operation.
 type probe struct {
-	bufs  []*access.LexBuf
+	ans   []order.Answer // per-part answer storage, reused across probes
 	lo    []int64
 	hi    []int64
 	ranks []int64
 	cur   []order.Answer
 	idx   []int64
 	// pend/pi buffer prefetched windows of chunked (remote) parts
-	// during AppendRange merges.
+	// during AppendWindow merges.
 	pend [][]order.Answer
 	pi   []int
 }
 
-func newHandle(q *cq.Query, pt Partitioning, parts []part, cmp func(a, b order.Answer) int) *Handle {
-	h := &Handle{Query: q, Part: pt, parts: parts, cmp: cmp, totals: make([]int64, len(parts))}
+// newHandle merges parts, which must all realize the same total order
+// (parts[0].Compare is the merge comparator).
+func newHandle(q *cq.Query, pt Partitioning, parts []access.Ranked) *Handle {
+	h := &Handle{Query: q, Part: pt, parts: parts, cmp: parts[0].Compare, totals: make([]int64, len(parts))}
 	for i, p := range parts {
-		h.totals[i] = p.total()
+		h.totals[i] = p.Total()
 		h.total += h.totals[i]
 	}
 	h.probes.New = func() any {
-		pr := &probe{
-			bufs:  make([]*access.LexBuf, len(parts)),
+		return &probe{
+			ans:   make([]order.Answer, len(parts)),
 			lo:    make([]int64, len(parts)),
 			hi:    make([]int64, len(parts)),
 			ranks: make([]int64, len(parts)),
@@ -149,10 +84,6 @@ func newHandle(q *cq.Query, pt Partitioning, parts []part, cmp func(a, b order.A
 			pend:  make([][]order.Answer, len(parts)),
 			pi:    make([]int, len(parts)),
 		}
-		for i, p := range parts {
-			pr.bufs[i] = p.newBuf()
-		}
-		return pr
 	}
 	return h
 }
@@ -179,9 +110,9 @@ func (h *Handle) putProbe(p *probe) { h.probes.Put(p) }
 // (global rank k) or discards half of the widest window plus everything
 // every other shard has priced on the wrong side. On return pr.ranks
 // holds each shard's count of answers strictly below the result — the
-// owner's entry is the result's local index — which AppendRange uses as
-// its per-shard merge cursors. The returned answer may alias the
-// owner's probe buffer in pr.
+// owner's entry is the result's local index — which AppendWindow uses
+// as its per-shard merge cursors. The returned answer aliases the
+// owner's answer storage in pr.
 func (h *Handle) locate(ctx context.Context, pr *probe, k int64) (order.Answer, error) {
 	if k < 0 || k >= h.total {
 		return nil, access.ErrOutOfBound
@@ -204,10 +135,11 @@ func (h *Handle) locate(ctx context.Context, pr *probe, k int64) (order.Answer, 
 			break
 		}
 		m := lo[s] + width/2
-		x, err := h.parts[s].access(ctx, m, pr.bufs[s])
+		x, err := h.parts[s].AnswerAt(ctx, pr.ans[s], m)
 		if err != nil {
 			return nil, fmt.Errorf("shard: internal: part %d access(%d): %w", s, m, err)
 		}
+		pr.ans[s] = x
 		if h.ranker != nil {
 			// One scatter round: every node prices x on all its shards
 			// in a single RPC, nodes run in parallel.
@@ -219,7 +151,7 @@ func (h *Handle) locate(ctx context.Context, pr *probe, k int64) (order.Answer, 
 				if j == s {
 					continue
 				}
-				rj, _, err := h.parts[j].rank(ctx, x)
+				rj, _, err := h.parts[j].RankOf(ctx, x)
 				if err != nil {
 					return nil, err
 				}
@@ -261,59 +193,25 @@ func (h *Handle) locate(ctx context.Context, pr *probe, k int64) (order.Answer, 
 	return nil, fmt.Errorf("shard: internal: rank search did not converge for k=%d", k)
 }
 
-// Access returns the global k-th answer in the shared order. The answer
-// is freshly allocated; use AppendTuple for the allocation-free path.
-func (h *Handle) Access(k int64) (order.Answer, error) {
-	return h.AccessCtx(context.Background(), k)
-}
+// Compare implements access.Ranked: the parts' shared total order.
+func (h *Handle) Compare(a, b order.Answer) int { return h.cmp(a, b) }
 
-// AccessCtx is Access with a caller context threaded through remote
-// parts (deadline and trace propagation); in-process parts ignore it.
-func (h *Handle) AccessCtx(ctx context.Context, k int64) (order.Answer, error) {
+// AnswerAt implements access.Ranked: one rank search over the parts.
+func (h *Handle) AnswerAt(ctx context.Context, dst order.Answer, k int64) (order.Answer, error) {
 	pr := h.getProbe()
+	defer h.putProbe(pr)
 	x, err := h.locate(ctx, pr, k)
 	if err != nil {
-		h.putProbe(pr)
 		return nil, err
 	}
-	out := append(order.Answer(nil), x...)
-	h.putProbe(pr)
-	return out, nil
+	return append(dst[:0], x...), nil
 }
 
-// AppendTuple appends the projection of the global k-th answer onto the
-// given head variables to dst and returns the extended slice,
-// allocating only when dst lacks capacity.
-func (h *Handle) AppendTuple(dst []values.Value, head []cq.VarID, k int64) ([]values.Value, error) {
-	return h.AppendTupleCtx(context.Background(), dst, head, k)
-}
-
-// AppendTupleCtx is AppendTuple with a caller context threaded through
-// remote parts.
-func (h *Handle) AppendTupleCtx(ctx context.Context, dst []values.Value, head []cq.VarID, k int64) ([]values.Value, error) {
-	pr := h.getProbe()
-	x, err := h.locate(ctx, pr, k)
-	if err != nil {
-		h.putProbe(pr)
-		return dst, err
-	}
-	for _, v := range head {
-		dst = append(dst, x[v])
-	}
-	h.putProbe(pr)
-	return dst, nil
-}
-
-// Rank returns the number of answers strictly preceding the tuple in
-// the global order (the sum of per-shard ranks) and whether the tuple
-// is an answer of some shard. The error is always nil for in-process
-// parts; remote parts surface transport failures through it.
-func (h *Handle) Rank(a order.Answer) (int64, bool, error) {
-	return h.RankCtx(context.Background(), a)
-}
-
-// RankCtx is Rank with a caller context threaded through remote parts.
-func (h *Handle) RankCtx(ctx context.Context, a order.Answer) (int64, bool, error) {
+// RankOf implements access.Ranked: the sum of the per-shard ranks, and
+// whether some shard holds the tuple. In-process parts never fail;
+// remote parts surface transport failures.
+func (h *Handle) RankOf(ctx context.Context, a order.Answer) (int64, bool, error) {
+	var k int64
 	if h.ranker != nil {
 		pr := h.getProbe()
 		defer h.putProbe(pr)
@@ -321,16 +219,14 @@ func (h *Handle) RankCtx(ctx context.Context, a order.Answer) (int64, bool, erro
 		if err != nil {
 			return 0, false, err
 		}
-		var k int64
 		for _, r := range pr.ranks {
 			k += r
 		}
 		return k, exact, nil
 	}
-	var k int64
 	exact := false
 	for _, p := range h.parts {
-		r, ex, err := p.rank(ctx, a)
+		r, ex, err := p.RankOf(ctx, a)
 		if err != nil {
 			return 0, false, err
 		}
@@ -340,37 +236,31 @@ func (h *Handle) RankCtx(ctx context.Context, a order.Answer) (int64, bool, erro
 	return k, exact, nil
 }
 
-// Inverted returns the global index of an answer, or ErrNotAnAnswer.
-func (h *Handle) Inverted(a order.Answer) (int64, error) {
-	k, ok, err := h.Rank(a)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		return 0, access.ErrNotAnAnswer
-	}
-	return k, nil
-}
-
-// AppendRange appends the head projections of the global answers
-// k0 ≤ k < k1 to dst: one rank search finds each shard's starting
-// cursor, then a P-way merge emits the window in order, costing one
-// local O(log n) access per emitted answer plus a P-wide comparison.
-func (h *Handle) AppendRange(dst []values.Value, head []cq.VarID, k0, k1 int64) ([]values.Value, error) {
-	return h.AppendRangeCtx(context.Background(), dst, head, k0, k1)
-}
-
-// AppendRangeCtx is AppendRange with a caller context threaded through
-// remote parts.
-func (h *Handle) AppendRangeCtx(ctx context.Context, dst []values.Value, head []cq.VarID, k0, k1 int64) ([]values.Value, error) {
+// AppendWindow implements access.Ranked over the head of Query: one
+// rank search finds each shard's starting cursor, then a P-way merge
+// emits the window in order, costing one local O(log n) access per
+// emitted answer plus a P-wide comparison. A one-answer window is the
+// located answer itself.
+func (h *Handle) AppendWindow(ctx context.Context, dst []values.Value, k0, k1 int64) ([]values.Value, error) {
 	if k0 >= k1 {
 		return dst, nil
 	}
 	if k0 < 0 || k1 > h.total {
 		return dst, access.ErrOutOfBound
 	}
+	head := h.Query.Head
 	pr := h.getProbe()
 	defer h.putProbe(pr)
+	if k1-k0 == 1 {
+		x, err := h.locate(ctx, pr, k0)
+		if err != nil {
+			return dst, err
+		}
+		for _, v := range head {
+			dst = append(dst, x[v])
+		}
+		return dst, nil
+	}
 	if k0 == 0 {
 		for j := range h.parts {
 			pr.idx[j] = 0
@@ -430,12 +320,13 @@ func (h *Handle) fillCursor(ctx context.Context, pr *probe, j int, remaining int
 		pr.cur[j] = nil
 		return nil
 	}
-	cp, chunked := h.parts[j].(chunkedPart)
+	rf, chunked := h.parts[j].(RangeFetcher)
 	if !chunked {
-		x, err := h.parts[j].access(ctx, pr.idx[j], pr.bufs[j])
+		x, err := h.parts[j].AnswerAt(ctx, pr.ans[j], pr.idx[j])
 		if err != nil {
 			return fmt.Errorf("shard: internal: part %d access(%d): %w", j, pr.idx[j], err)
 		}
+		pr.ans[j] = x
 		pr.cur[j] = x
 		return nil
 	}
@@ -454,7 +345,7 @@ func (h *Handle) fillCursor(ctx context.Context, pr *probe, j int, remaining int
 		if hi > h.totals[j] {
 			hi = h.totals[j]
 		}
-		rows, err := cp.fetchRange(ctx, pr.idx[j], hi)
+		rows, err := rf.FetchRange(ctx, pr.idx[j], hi)
 		if err != nil {
 			return fmt.Errorf("shard: part %d range [%d, %d): %w", j, pr.idx[j], hi, err)
 		}

@@ -30,7 +30,7 @@ type Owned struct {
 	BuildNanos map[int]int64
 
 	completed order.Lex
-	parts     map[int]part
+	parts     map[int]access.Ranked
 }
 
 // Completed returns the realized total lex order of layered builds
@@ -47,7 +47,7 @@ func (o *Owned) Shards() []int {
 	return out
 }
 
-func (o *Owned) part(shard int) (part, error) {
+func (o *Owned) part(shard int) (access.Ranked, error) {
 	p, ok := o.parts[shard]
 	if !ok {
 		return nil, fmt.Errorf("shard: shard %d is not owned by this node", shard)
@@ -61,7 +61,7 @@ func (o *Owned) Total(shard int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return p.total(), nil
+	return p.Total(), nil
 }
 
 // Rank returns one owned shard's count of answers strictly below a.
@@ -70,7 +70,7 @@ func (o *Owned) Rank(shard int, a order.Answer) (int64, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	return p.rank(context.Background(), a)
+	return p.RankOf(context.Background(), a)
 }
 
 // RankAll prices a on the given owned shards, filling ranks (aligned
@@ -98,16 +98,12 @@ func (o *Owned) Access(shard int, k int64) (order.Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := p.access(context.Background(), k, p.newBuf())
-	if err != nil {
-		return nil, err
-	}
-	return append(order.Answer(nil), a...), nil
+	return p.AnswerAt(context.Background(), nil, k)
 }
 
-// maxOwnedRange caps one Range call, bounding the response frame a
+// MaxOwnedRange caps one Range call, bounding the response frame a
 // single request can demand from a node.
-const maxOwnedRange = 4096
+const MaxOwnedRange = 4096
 
 // Range returns one owned shard's local answers k0 ≤ k < k1, each
 // freshly allocated off one backing array.
@@ -116,19 +112,19 @@ func (o *Owned) Range(shard int, k0, k1 int64) ([]order.Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if k0 < 0 || k1 < k0 || k1 > p.total() {
+	if k0 < 0 || k1 < k0 || k1 > p.Total() {
 		return nil, access.ErrOutOfBound
 	}
 	n := k1 - k0
-	if n > maxOwnedRange {
-		return nil, fmt.Errorf("shard: range of %d answers exceeds the per-call cap %d", n, maxOwnedRange)
+	if n > MaxOwnedRange {
+		return nil, fmt.Errorf("shard: range of %d answers exceeds the per-call cap %d", n, MaxOwnedRange)
 	}
-	buf := p.newBuf()
 	width := o.Query.NumVars()
 	flat := make([]int64, 0, int(n)*width)
 	out := make([]order.Answer, 0, n)
+	var a order.Answer
 	for k := k0; k < k1; k++ {
-		a, err := p.access(context.Background(), k, buf)
+		a, err = p.AnswerAt(context.Background(), a, k)
 		if err != nil {
 			return nil, err
 		}
@@ -162,13 +158,13 @@ func ownedSet(pt Partitioning, owned []int) ([]int, error) {
 // buildOwned splits the owned shards and builds one part per shard in
 // parallel via the given per-shard builder.
 func buildOwned(q *cq.Query, in *database.Instance, pt Partitioning, owned []int,
-	build func(*database.Instance) (part, order.Lex, error)) (*Owned, error) {
+	build func(*database.Instance) (access.Ranked, order.Lex, error)) (*Owned, error) {
 	shards, err := ownedSet(pt, owned)
 	if err != nil {
 		return nil, err
 	}
 	ins := SplitOwned(q, in, pt, shards)
-	parts := make([]part, len(shards))
+	parts := make([]access.Ranked, len(shards))
 	lexes := make([]order.Lex, len(shards))
 	nanos := make([]int64, len(shards))
 	err = par.DoErr(len(shards), func(i int) error {
@@ -194,7 +190,7 @@ func buildOwned(q *cq.Query, in *database.Instance, pt Partitioning, owned []int
 		Query:      q,
 		Part:       pt,
 		completed:  lexes[0],
-		parts:      make(map[int]part, len(shards)),
+		parts:      make(map[int]access.Ranked, len(shards)),
 		BuildNanos: make(map[int]int64, len(shards)),
 	}
 	for i, s := range shards {
@@ -209,38 +205,38 @@ func buildOwned(q *cq.Query, in *database.Instance, pt Partitioning, owned []int
 // completed order; the coordinator additionally verifies it ACROSS
 // nodes from the Prepare responses.
 func BuildOwnedLex(q *cq.Query, in *database.Instance, l order.Lex, pt Partitioning, owned []int) (*Owned, error) {
-	return buildOwned(q, in, pt, owned, func(si *database.Instance) (part, order.Lex, error) {
+	return buildOwned(q, in, pt, owned, func(si *database.Instance) (access.Ranked, order.Lex, error) {
 		la, err := access.BuildLex(q, si, l)
 		if err != nil {
 			return nil, order.Lex{}, err
 		}
-		return lexPart{la: la}, la.Completed, nil
+		return la, la.Completed, nil
 	})
 }
 
 // BuildOwnedSum builds the owned shards' SUM structures.
 func BuildOwnedSum(q *cq.Query, in *database.Instance, w order.Sum, pt Partitioning, owned []int) (*Owned, error) {
-	return buildOwned(q, in, pt, owned, func(si *database.Instance) (part, order.Lex, error) {
+	return buildOwned(q, in, pt, owned, func(si *database.Instance) (access.Ranked, order.Lex, error) {
 		s, err := access.BuildSum(q, si, w)
 		if err != nil {
 			return nil, order.Lex{}, err
 		}
-		return sumPart{s: s}, order.Lex{}, nil
+		return s, order.Lex{}, nil
 	})
 }
 
 // BuildOwnedMaterializedLex builds the owned shards' materialize-and-
 // sort fallbacks under a lex order.
 func BuildOwnedMaterializedLex(q *cq.Query, in *database.Instance, l order.Lex, pt Partitioning, owned []int) (*Owned, error) {
-	return buildOwned(q, in, pt, owned, func(si *database.Instance) (part, order.Lex, error) {
-		return matLexPart{m: access.BuildMaterializedLex(q, si, l), l: l}, order.Lex{}, nil
+	return buildOwned(q, in, pt, owned, func(si *database.Instance) (access.Ranked, order.Lex, error) {
+		return access.BuildMaterializedLex(q, si, l), order.Lex{}, nil
 	})
 }
 
 // BuildOwnedMaterializedSum is BuildOwnedMaterializedLex for SUM.
 func BuildOwnedMaterializedSum(q *cq.Query, in *database.Instance, w order.Sum, pt Partitioning, owned []int) (*Owned, error) {
-	return buildOwned(q, in, pt, owned, func(si *database.Instance) (part, order.Lex, error) {
-		return matSumPart{m: access.BuildMaterializedSum(q, si, w), w: w}, order.Lex{}, nil
+	return buildOwned(q, in, pt, owned, func(si *database.Instance) (access.Ranked, order.Lex, error) {
+		return access.BuildMaterializedSum(q, si, w), order.Lex{}, nil
 	})
 }
 

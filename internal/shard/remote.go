@@ -8,18 +8,6 @@ import (
 	"rankedaccess/internal/order"
 )
 
-// RemotePart is one shard's structure served by another process: the
-// same total/rank/access surface as a local part plus a windowed range
-// fetch so merges amortize the per-call round trip. Implementations
-// must be safe for concurrent use and must return answers that do not
-// alias shared mutable state.
-type RemotePart interface {
-	Total() int64
-	Rank(ctx context.Context, a order.Answer) (int64, bool, error)
-	Access(ctx context.Context, k int64) (order.Answer, error)
-	FetchRange(ctx context.Context, k0, k1 int64) ([]order.Answer, error)
-}
-
 // BatchRanker prices an answer on every shard of the partitioning in
 // one scatter round, filling ranks (length P, indexed by shard) and
 // reporting whether any shard holds the answer exactly. The network
@@ -31,35 +19,17 @@ type BatchRanker interface {
 	RankAll(ctx context.Context, a order.Answer, ranks []int64) (exact bool, err error)
 }
 
-// remotePart adapts a RemotePart to the internal part interface; it
-// also implements chunkedPart so AppendRange prefetches windows.
-type remotePart struct{ rp RemotePart }
-
-func (p remotePart) total() int64           { return p.rp.Total() }
-func (p remotePart) newBuf() *access.LexBuf { return nil }
-func (p remotePart) rank(ctx context.Context, a order.Answer) (int64, bool, error) {
-	return p.rp.Rank(ctx, a)
-}
-func (p remotePart) access(ctx context.Context, k int64, _ *access.LexBuf) (order.Answer, error) {
-	return p.rp.Access(ctx, k)
-}
-func (p remotePart) fetchRange(ctx context.Context, k0, k1 int64) ([]order.Answer, error) {
-	return p.rp.FetchRange(ctx, k0, k1)
-}
-
 // NewRemote assembles a Handle over network-served parts: the same
 // rank-merge machinery as the in-process sharded path (so distributed
 // answers are byte-identical by construction), with per-answer probes
 // going over parts[i] and whole-front rank pricing going through the
-// batch ranker when one is given. cmp must realize the same total
-// order every node's structures sort by; completed is the realized
-// lex order of layered builds (zero for SUM orders).
-func NewRemote(q *cq.Query, pt Partitioning, parts []RemotePart, cmp func(a, b order.Answer) int, ranker BatchRanker, completed order.Lex) *Handle {
-	ps := make([]part, len(parts))
-	for i, rp := range parts {
-		ps[i] = remotePart{rp: rp}
-	}
-	h := newHandle(q, pt, ps, cmp)
+// batch ranker when one is given. Every part must realize the total
+// order every node's structures sort by (parts[0].Compare merges), and
+// should implement RangeFetcher so windows prefetch instead of paying
+// one round trip per answer. completed is the realized lex order of
+// layered builds (zero for SUM orders).
+func NewRemote(q *cq.Query, pt Partitioning, parts []access.Ranked, ranker BatchRanker, completed order.Lex) *Handle {
+	h := newHandle(q, pt, parts)
 	h.ranker = ranker
 	h.Completed = completed
 	return h

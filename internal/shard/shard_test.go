@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -12,6 +13,9 @@ import (
 	"rankedaccess/internal/selection"
 	"rankedaccess/internal/values"
 )
+
+// bg is the context the in-process probes run under.
+var bg = context.Background()
 
 // pathQuery returns Q(x, y, z) :- R(x, y), S(y, z) with a random
 // instance of n tuples per relation over a domain of size dom.
@@ -123,7 +127,7 @@ func checkLexEquivalence(t *testing.T, q *cq.Query, single *access.Lex, sh *Hand
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sh.Access(k)
+		got, err := sh.AnswerAt(bg, nil, k)
 		if err != nil {
 			t.Fatalf("sharded Access(%d): %v", k, err)
 		}
@@ -132,7 +136,7 @@ func checkLexEquivalence(t *testing.T, q *cq.Query, single *access.Lex, sh *Hand
 				t.Fatalf("k=%d: single %v, sharded %v", k, want, got)
 			}
 		}
-		dst, err = sh.AppendTuple(dst[:0], q.Head, k)
+		dst, err = sh.AppendWindow(bg, dst[:0], k, k+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,13 +145,13 @@ func checkLexEquivalence(t *testing.T, q *cq.Query, single *access.Lex, sh *Hand
 				t.Fatalf("k=%d AppendTuple mismatch: %v vs %v", k, dst, want)
 			}
 		}
-		inv, err := sh.Inverted(want)
-		if err != nil || inv != k {
-			t.Fatalf("Inverted(answer %d) = %d, %v", k, inv, err)
+		inv, member, err := sh.RankOf(bg, want)
+		if err != nil || !member || inv != k {
+			t.Fatalf("RankOf(answer %d) = %d, %v, %v", k, inv, member, err)
 		}
 	}
 	// Whole-range merge must equal per-k access.
-	dst, err := sh.AppendRange(nil, q.Head, 0, total)
+	dst, err := sh.AppendWindow(bg, nil, 0, total)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,16 +167,16 @@ func checkLexEquivalence(t *testing.T, q *cq.Query, single *access.Lex, sh *Hand
 		}
 	}
 	// Out-of-bound and empty windows.
-	if _, err := sh.Access(total); !errors.Is(err, access.ErrOutOfBound) {
+	if _, err := sh.AnswerAt(bg, nil, total); !errors.Is(err, access.ErrOutOfBound) {
 		t.Fatalf("Access(total) = %v, want ErrOutOfBound", err)
 	}
-	if _, err := sh.Access(-1); !errors.Is(err, access.ErrOutOfBound) {
+	if _, err := sh.AnswerAt(bg, nil, -1); !errors.Is(err, access.ErrOutOfBound) {
 		t.Fatalf("Access(-1) = %v, want ErrOutOfBound", err)
 	}
-	if out, err := sh.AppendRange(nil, q.Head, 5, 5); err != nil || len(out) != 0 {
+	if out, err := sh.AppendWindow(bg, nil, 5, 5); err != nil || len(out) != 0 {
 		t.Fatalf("empty range: %v, %v", out, err)
 	}
-	if _, err := sh.AppendRange(nil, q.Head, 0, total+1); !errors.Is(err, access.ErrOutOfBound) {
+	if _, err := sh.AppendWindow(bg, nil, 0, total+1); !errors.Is(err, access.ErrOutOfBound) {
 		t.Fatalf("over-wide range = %v, want ErrOutOfBound", err)
 	}
 }
@@ -206,7 +210,7 @@ func TestShardedLexMatchesSingle(t *testing.T) {
 					a[v] = values.Value(rng.Intn(30))
 				}
 				wantK, wantEx := single.Rank(a)
-				gotK, gotEx, rerr := sh.Rank(a)
+				gotK, gotEx, rerr := sh.RankOf(bg, a)
 				if rerr != nil {
 					t.Fatalf("P=%d Rank(%v): %v", p, a, rerr)
 				}
@@ -282,7 +286,7 @@ func TestShardedSumMatchesSingle(t *testing.T) {
 		}
 		for k := int64(0); k < single.Total(); k++ {
 			want, _ := single.Access(k)
-			got, err := sh.Access(k)
+			got, err := sh.AnswerAt(bg, nil, k)
 			if err != nil {
 				t.Fatalf("P=%d Access(%d): %v", p, k, err)
 			}
@@ -290,7 +294,7 @@ func TestShardedSumMatchesSingle(t *testing.T) {
 				t.Fatalf("P=%d k=%d: %v vs %v", p, k, want, got)
 			}
 		}
-		if _, err := sh.Access(single.Total()); !errors.Is(err, access.ErrOutOfBound) {
+		if _, err := sh.AnswerAt(bg, nil, single.Total()); !errors.Is(err, access.ErrOutOfBound) {
 			t.Fatalf("Access(total) = %v", err)
 		}
 	}
@@ -318,7 +322,7 @@ func TestShardedMaterializedMatchesSingle(t *testing.T) {
 		}
 		for k := int64(0); k < single.Total(); k++ {
 			want, _ := single.Access(k)
-			got, err := sh.Access(k)
+			got, err := sh.AnswerAt(bg, nil, k)
 			if err != nil {
 				t.Fatalf("P=%d Access(%d): %v", p, k, err)
 			}
@@ -352,7 +356,7 @@ func TestShardedMaterializedSumMatchesSingle(t *testing.T) {
 		}
 		for k := int64(0); k < single.Total(); k++ {
 			want, _ := single.Access(k)
-			got, err := sh.Access(k)
+			got, err := sh.AnswerAt(bg, nil, k)
 			if err != nil {
 				t.Fatalf("P=%d Access(%d): %v", p, k, err)
 			}
@@ -361,13 +365,13 @@ func TestShardedMaterializedSumMatchesSingle(t *testing.T) {
 					t.Fatalf("P=%d k=%d: %v vs %v", p, k, got, want)
 				}
 			}
-			inv, ok, rerr := sh.Rank(want)
+			inv, ok, rerr := sh.RankOf(bg, want)
 			if rerr != nil || !ok || inv != k {
 				t.Fatalf("P=%d Rank(answer %d) = (%d, %v)", p, k, inv, ok)
 			}
 		}
 		// A full range merge exercises the (weight, head) comparator.
-		flat, err := sh.AppendRange(nil, q.Head, 0, sh.Total())
+		flat, err := sh.AppendWindow(bg, nil, 0, sh.Total())
 		if err != nil {
 			t.Fatal(err)
 		}

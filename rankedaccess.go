@@ -129,7 +129,11 @@ var (
 	ErrIntractable = access.ErrIntractable
 	// ErrCursorInvalidated: the instance mutated under a cursor bound
 	// to a prepared query (mapped to HTTP 410 by the v1 API).
-	ErrCursorInvalidated = engine.ErrCursorInvalidated
+	//
+	// Deprecated: cursors drain the epoch they were opened on and are
+	// never invalidated, so nothing returns this error. It stays until
+	// the next major version.
+	ErrCursorInvalidated = engine.ErrCursorInvalidated //lint:ignore SA1019 re-exported until the next major version
 )
 
 // ParseQuery parses the textual form "Q(x, z) :- R(x, y), S(y, z)".
