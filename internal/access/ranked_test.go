@@ -85,6 +85,14 @@ func rankedCases(t *testing.T, rng *rand.Rand) []rankedCase {
 		}
 		return pt
 	}
+	shardAll := func(q *cq.Query, build func(*database.Instance) (access.Ranked, error)) (access.Ranked, error) {
+		pt := partition(q)
+		o, err := shard.Build(q, in, pt, pt.All(), build)
+		if err != nil {
+			return nil, err
+		}
+		return o.Handle()
+	}
 	must := func(r access.Ranked, err error) access.Ranked {
 		if err != nil {
 			t.Fatal(err)
@@ -100,16 +108,24 @@ func rankedCases(t *testing.T, rng *rand.Rand) []rankedCase {
 	sa := must(access.BuildSum(keyed, in, sumW))
 	ml := access.BuildMaterializedLex(proj, in, matL)
 	ms := access.BuildMaterializedSum(full, in, matW)
+	lexParts := func(si *database.Instance) (access.Ranked, error) { return access.BuildLex(full, si, lexL) }
+	sumParts := func(si *database.Instance) (access.Ranked, error) { return access.BuildSum(keyed, si, sumW) }
+	matLexParts := func(si *database.Instance) (access.Ranked, error) {
+		return access.BuildMaterializedLex(proj, si, matL), nil
+	}
+	matSumParts := func(si *database.Instance) (access.Ranked, error) {
+		return access.BuildMaterializedSum(full, si, matW), nil
+	}
 
 	cases := []rankedCase{
 		{name: "lex", q: full, r: la, requested: lexL.Compare},
 		{name: "sum", q: keyed, r: sa, requested: byWeight(keyed, sumW)},
 		{name: "materialized-lex", q: proj, r: ml, requested: matL.Compare},
 		{name: "materialized-sum", q: full, r: ms, requested: byWeight(full, matW)},
-		{name: "shard-lex", q: full, r: must(shard.BuildLex(full, in, lexL, partition(full))), requested: lexL.Compare},
-		{name: "shard-sum", q: keyed, r: must(shard.BuildSum(keyed, in, sumW, partition(keyed))), requested: byWeight(keyed, sumW)},
-		{name: "shard-materialized-lex", q: proj, r: must(shard.BuildMaterializedLex(proj, in, matL, partition(proj))), requested: matL.Compare},
-		{name: "shard-materialized-sum", q: full, r: must(shard.BuildMaterializedSum(full, in, matW, partition(full))), requested: byWeight(full, matW)},
+		{name: "shard-lex", q: full, r: must(shardAll(full, lexParts)), requested: lexL.Compare},
+		{name: "shard-sum", q: keyed, r: must(shardAll(keyed, sumParts)), requested: byWeight(keyed, sumW)},
+		{name: "shard-materialized-lex", q: proj, r: must(shardAll(proj, matLexParts)), requested: matL.Compare},
+		{name: "shard-materialized-sum", q: full, r: must(shardAll(full, matSumParts)), requested: byWeight(full, matW)},
 	}
 	for i := range cases {
 		cases[i].want = sortedBy(baseline.AllAnswers(cases[i].q, in), cases[i].r.Compare)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -178,7 +179,7 @@ func (c *Coordinator) BuildRemote(ctx context.Context, s engine.Spec) (*engine.R
 			return nil, fmt.Errorf("cluster: node %s built mode %s, node %s built %s",
 				peers[i].Addr, infos[i].Mode, peers[0].Addr, infos[0].Mode)
 		}
-		if !sameEntries(infos[i].Completed, infos[0].Completed) {
+		if !slices.Equal(infos[i].Completed, infos[0].Completed) {
 			return nil, fmt.Errorf("cluster: node %s realized order %v, node %s realized %v",
 				peers[i].Addr, infos[i].Completed, peers[0].Addr, infos[0].Completed)
 		}
@@ -218,7 +219,7 @@ func (c *Coordinator) BuildRemote(ctx context.Context, s engine.Spec) (*engine.R
 }
 
 // comparator returns the merge comparator for the agreed mode — the
-// same comparator the in-process sharded builders install, which is
+// same comparator in-process shard parts merge under, which is
 // what makes distributed answers byte-identical — plus the local
 // classification verdict for the plan.
 func (c *Coordinator) comparator(pl *plan, mode engine.Mode, completed order.Lex) (func(a, b order.Answer) int, classify.Verdict, error) {
@@ -241,18 +242,6 @@ func (c *Coordinator) comparator(pl *plan, mode engine.Mode, completed order.Lex
 		return func(a, b order.Answer) int { return access.CompareLexTotal(q, l, a, b) }, v, nil
 	}
 	return nil, v, fmt.Errorf("cluster: nodes built unexpected mode %q for a lex spec", mode)
-}
-
-func sameEntries(a, b []order.LexEntry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // CountRemote scatters the count to every shard-owning node and sums

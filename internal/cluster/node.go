@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -78,7 +79,26 @@ func validate(es engine.Spec, p int, shardVar string) error {
 // node has never seen it (or evicted it) — the stateless-probe
 // guarantee. A cached build for an older instance version is replaced.
 // A failed build is not cached: the next probe retries.
+//
+// A shared build runs under its FIRST prober's context. When that
+// prober gives up mid-build, joiners whose own contexts are still live
+// retry with a fresh flight rather than inheriting the stranger's
+// cancellation.
 func (n *Node) getBuild(ctx context.Context, spec rpc.Spec) (*engine.NodeBuild, error) {
+	for {
+		nb, err := n.buildOnce(ctx, spec)
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			if ctx.Err() == nil {
+				continue
+			}
+		}
+		return nb, err
+	}
+}
+
+// buildOnce is one attempt of getBuild: join the spec's flight, or
+// start one and build.
+func (n *Node) buildOnce(ctx context.Context, spec rpc.Spec) (*engine.NodeBuild, error) {
 	key := spec.Key()
 	cur := n.e.Version()
 

@@ -1,13 +1,18 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/rpc"
+	"rankedaccess/internal/workload"
 )
 
 // nodeSpec returns the i-th of a family of distinct distributed specs
@@ -84,4 +89,67 @@ func TestNodeFailedBuildIsRetried(t *testing.T) {
 	if !n.cached(spec) {
 		t.Fatal("successful build was not cached")
 	}
+}
+
+// TestNodeBuildJoinerOutlivesCanceledBuilder: a node build runs under
+// its first prober's context. When that prober is canceled mid-build,
+// a joiner whose own context is still live must retry with a fresh
+// flight and get the build, not the stranger's cancellation.
+func TestNodeBuildJoinerOutlivesCanceledBuilder(t *testing.T) {
+	spec := nodeSpec(0)
+	for attempt := 0; ; attempt++ {
+		if attempt == 10 {
+			t.Fatal("every build finished before its prober was canceled")
+		}
+		// Large enough that the layered shard builds span many ms of waves.
+		_, in := workload.TwoPath(rand.New(rand.NewSource(33)), 10000, 1024, 0.4)
+		n := NewNode(engine.New(in, engine.Options{}))
+		bctx, cancel := context.WithCancel(context.Background())
+		builder := make(chan error, 1)
+		go func() {
+			_, err := n.Prepare(bctx, spec)
+			builder <- err
+		}()
+		waitUntil(t, func() bool { return n.cached(spec) })
+		var info *rpc.PrepareInfo
+		joiner := make(chan error, 1)
+		go func() {
+			var err error
+			info, err = n.Prepare(context.Background(), spec)
+			joiner <- err
+		}()
+		waitUntil(t, func() bool { return flightWaiters() > 0 })
+		cancel()
+		berr := <-builder
+		if err := <-joiner; err != nil || info == nil {
+			t.Fatalf("joiner with a live context = (%v, %v), want the build", info, err)
+		}
+		if berr == nil {
+			continue // the build finished before the cancel landed
+		}
+		if !errors.Is(berr, context.Canceled) {
+			t.Fatalf("canceled prober = %v, want context.Canceled", berr)
+		}
+		if !n.cached(spec) {
+			t.Fatal("the joiner's retried build was not cached")
+		}
+		return
+	}
+}
+
+// waitUntil polls cond until it holds, failing the test after 10s.
+func waitUntil(t *testing.T, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached within 10s")
+		}
+	}
+}
+
+// flightWaiters counts the goroutines blocked waiting on a shared
+// single-flight build.
+func flightWaiters() int {
+	buf := make([]byte, 1<<20)
+	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("lru.(*Flight[...]).Wait("))
 }

@@ -1113,24 +1113,26 @@ func (e *Engine) buildLocal(ctx context.Context, s Spec) (*Handle, error) {
 	shards := normShards(s.Shards)
 	if shards > 1 && s.ShardBy != "" {
 		// Reject a bad explicit partition variable instead of silently
-		// falling back: the caller asked for something specific, and
-		// some fallback paths never reach shard.Choose.
+		// falling back: the caller asked for something specific.
 		if err := shard.ValidateBy(p.q, s.ShardBy); err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
 	}
 	h := &Handle{Query: p.q, spec: s, rels: queryRels(p.q)}
-	var wfd classify.WithFDs // FD witness, reused by the sharded builders
-	if p.sum {
-		if len(p.fds) == 0 {
-			h.Plan.Verdict = classify.DirectAccessSum(p.q)
-		} else {
-			h.Plan.Verdict, wfd = classify.DirectAccessSumFD(p.q, p.fds)
+	var wfd classify.WithFDs // FD witness, reused by the sharded build
+	h.Plan.Verdict, wfd = p.classify()
+	if shards > 1 {
+		err := e.buildSharded(ctx, h, p, wfd, s.ShardBy, shards)
+		if err == nil {
+			return h, nil
 		}
+		if ctxErr(err) {
+			return nil, err
+		}
+		h.Plan.ShardNote = err.Error()
+	}
+	if p.sum {
 		if h.Plan.Verdict.Tractable {
-			if shards > 1 && e.shardSum(h, p, wfd, s.ShardBy, shards) {
-				return h, nil
-			}
 			var sa *access.Sum
 			if len(p.fds) == 0 {
 				sa, err = access.BuildSum(p.q, e.in, p.w)
@@ -1150,22 +1152,11 @@ func (e *Engine) buildLocal(ctx context.Context, s Spec) (*Handle, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if shards > 1 && e.shardMaterialized(h, p, s.ShardBy, shards) {
-			return h, nil
-		}
 		h.r = access.BuildMaterializedSum(p.q, e.in, p.w)
 		return h, nil
 	}
 
-	if len(p.fds) == 0 {
-		h.Plan.Verdict = classify.DirectAccessLex(p.q, p.l)
-	} else {
-		h.Plan.Verdict, wfd = classify.DirectAccessLexFD(p.q, p.l, p.fds)
-	}
 	if h.Plan.Verdict.Tractable {
-		if shards > 1 && e.shardLex(h, p, wfd, s.ShardBy, shards) {
-			return h, nil
-		}
 		var la *access.Lex
 		if len(p.fds) == 0 {
 			la, err = access.BuildLexCtx(ctx, p.q, e.in, p.l)
@@ -1188,11 +1179,22 @@ func (e *Engine) buildLocal(ctx context.Context, s Spec) (*Handle, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if shards > 1 && e.shardMaterialized(h, p, s.ShardBy, shards) {
-		return h, nil
-	}
 	h.r = access.BuildMaterializedLex(p.q, e.in, p.l)
 	return h, nil
+}
+
+// classify decides the spec's side of the dichotomy, returning also
+// the FD witness (zero without FDs).
+func (p *parsed) classify() (classify.Verdict, classify.WithFDs) {
+	switch {
+	case p.sum && len(p.fds) == 0:
+		return classify.DirectAccessSum(p.q), classify.WithFDs{}
+	case p.sum:
+		return classify.DirectAccessSumFD(p.q, p.fds)
+	case len(p.fds) == 0:
+		return classify.DirectAccessLex(p.q, p.l), classify.WithFDs{}
+	}
+	return classify.DirectAccessLexFD(p.q, p.l, p.fds)
 }
 
 // queryRels collects the relation symbols a query references.
@@ -1204,110 +1206,91 @@ func queryRels(q *cq.Query) map[string]bool {
 	return rels
 }
 
-// shardFallback records why a sharded build fell back.
-func (h *Handle) shardFallback(note string) bool {
-	h.Plan.ShardNote = note
-	return false
-}
-
-// serveSharded installs a sharded structure (r is sh itself, or an FD
-// view over it) with its plan.
-func (h *Handle) serveSharded(r access.Ranked, sh *shard.Handle, mode Mode) {
-	h.r, h.partTotals, h.partNanos = r, sh.PartTotals(), sh.BuildNanos
-	h.Plan.Mode, h.Plan.Tractable = mode, mode != ModeMaterialized
-	h.Plan.Shards, h.Plan.ShardBy = sh.Part.P, sh.Part.VarName
-}
-
-// shardLex attempts a sharded layered build for a tractable lex spec;
-// w is the FD witness build() already computed (zero without FDs). FD
-// specs are extended globally first — the extension shares variable
-// ids with the original query and the reordered order L⁺ sorts Q⁺(I⁺)
-// exactly as L sorts Q(I) (Lemma 8.16) — and the plain extension is
-// then partitioned, so every shard prices foreign candidates against
-// complete FD-implied values. Returns true when h now serves sharded;
-// false records a fallback note and leaves h untouched.
-func (e *Engine) shardLex(h *Handle, p *parsed, w classify.WithFDs, by string, shards int) bool {
-	q, in, l := p.q, e.in, p.l
+// buildSharded is buildLocal's sharded branch: the mode ladder over
+// all P shards, merged into one handle. A tractable FD spec is extended
+// globally first — the extension shares variable ids with the original
+// query, the reordered order L⁺ sorts Q⁺(I⁺) exactly as L sorts Q(I)
+// (Lemma 8.16), and promoted variables weigh zero (Lemma 8.5) — and the
+// plain extension is then partitioned, so every shard prices foreign
+// candidates against complete FD-implied values. The materialized
+// fallback needs no extension: FDs change neither its answer set nor
+// its order. A non-nil error other than ctx's leaves h untouched and
+// is the fallback note for the unsharded build.
+func (e *Engine) buildSharded(ctx context.Context, h *Handle, p *parsed, w classify.WithFDs, by string, shards int) error {
+	sp, in := *p, e.in // sp is the FD-free spec the shards serve
+	sp.fds = nil
 	var extend func(order.Answer) (order.Answer, bool)
-	if len(p.fds) > 0 {
+	if h.Plan.Verdict.Tractable && len(p.fds) > 0 {
 		if w.Ext == nil {
-			return h.shardFallback("no FD extension available")
+			return errors.New("no FD extension available")
 		}
 		if err := p.fds.Check(p.q, e.in); err != nil {
-			return h.shardFallback(err.Error())
+			return err
 		}
 		iplus, err := w.Ext.ExtendInstance(p.q, e.in)
 		if err != nil {
-			return h.shardFallback(err.Error())
+			return err
 		}
-		if extend, err = w.Ext.AnswerExtender(p.q, e.in); err != nil {
-			return h.shardFallback(err.Error())
+		if !p.sum { // SUM orders have no inverse to extend for
+			if extend, err = w.Ext.AnswerExtender(p.q, e.in); err != nil {
+				return err
+			}
 		}
-		q, in, l = w.Ext.Query, iplus, w.LPlus
+		sp.q, sp.l, in = w.Ext.Query, w.LPlus, iplus
 	}
-	pt, err := shard.Choose(q, by, shards)
+	pt, err := shard.Choose(sp.q, by, shards)
 	if err != nil {
-		return h.shardFallback(err.Error())
+		return err
 	}
-	sh, err := shard.BuildLex(q, in, l, pt)
+	o, mode, err := buildShards(ctx, &sp, in, pt, pt.All())
 	if err != nil {
-		return h.shardFallback(err.Error())
+		return err
 	}
-	h.serveSharded(viewFD(p.q, sh, extend), sh, ModeLayeredLex)
-	return true
+	sh, err := o.Handle()
+	if err != nil {
+		return err
+	}
+	h.r, h.partTotals, h.partNanos = viewFD(p.q, sh, extend), sh.PartTotals(), sh.BuildNanos
+	h.Plan.Mode, h.Plan.Tractable = mode, mode != ModeMaterialized
+	h.Plan.Shards, h.Plan.ShardBy = pt.P, pt.VarName
+	return nil
 }
 
-// shardSum is shardLex for tractable SUM specs. SUM groups have no
-// inverse (as in the single-structure case). Promoted FD variables
-// weigh zero (Lemma 8.5), so sharding the extension preserves weights.
-func (e *Engine) shardSum(h *Handle, p *parsed, w classify.WithFDs, by string, shards int) bool {
-	q, in := p.q, e.in
-	if len(p.fds) > 0 {
-		if w.Ext == nil {
-			return h.shardFallback("no FD extension available")
+// buildShards is the mode ladder over the owned shards of pt, shared by
+// in-process sharding (owned = pt.All()) and cluster nodes (BuildOwned):
+// classify the spec, build the tractable structure — layered lex, or
+// SUM — and fall back to materialize-and-sort when the spec is
+// intractable or the build reports an intractability certificate.
+// Layered builds stop at the next preprocessing wave boundary once ctx
+// is done. p must be FD-free: FD specs are extended globally by the
+// caller, and classifying the extension plainly is exactly the FD
+// classification (Theorems 8.9 and 8.21).
+func buildShards(ctx context.Context, p *parsed, in *database.Instance, pt shard.Partitioning, owned []int) (*shard.Owned, Mode, error) {
+	if v, _ := p.classify(); v.Tractable {
+		mode, build := ModeLayeredLex, func(si *database.Instance) (access.Ranked, error) {
+			return access.BuildLexCtx(ctx, p.q, si, p.l)
 		}
-		if err := p.fds.Check(p.q, e.in); err != nil {
-			return h.shardFallback(err.Error())
+		if p.sum {
+			mode, build = ModeSum, func(si *database.Instance) (access.Ranked, error) {
+				return access.BuildSum(p.q, si, p.w)
+			}
 		}
-		iplus, err := w.Ext.ExtendInstance(p.q, e.in)
-		if err != nil {
-			return h.shardFallback(err.Error())
+		o, err := shard.Build(p.q, in, pt, owned, build)
+		var ie *access.IntractableError
+		if err == nil || !errors.As(err, &ie) {
+			return o, mode, err
 		}
-		q, in = w.Ext.Query, iplus
 	}
-	pt, err := shard.Choose(q, by, shards)
-	if err != nil {
-		return h.shardFallback(err.Error())
+	if err := ctx.Err(); err != nil {
+		return nil, ModeMaterialized, err
 	}
-	sh, err := shard.BuildSum(q, in, p.w, pt)
-	if err != nil {
-		return h.shardFallback(err.Error())
-	}
-	h.serveSharded(viewFD(p.q, sh, nil), sh, ModeSum)
-	return true
-}
-
-// shardMaterialized attempts a sharded materialize-and-sort fallback:
-// each shard materializes only its slice of the answer space, so even
-// the intractable side parallelizes P ways. FDs do not change the
-// answer set or the realized order here (the single-shard fallback
-// ignores them too), so the original query is partitioned directly.
-func (e *Engine) shardMaterialized(h *Handle, p *parsed, by string, shards int) bool {
-	pt, err := shard.Choose(p.q, by, shards)
-	if err != nil {
-		return h.shardFallback(err.Error())
-	}
-	var sh *shard.Handle
-	if p.sum {
-		sh, err = shard.BuildMaterializedSum(p.q, e.in, p.w, pt)
-	} else {
-		sh, err = shard.BuildMaterializedLex(p.q, e.in, p.l, pt)
-	}
-	if err != nil {
-		return h.shardFallback(err.Error())
-	}
-	h.serveSharded(sh, sh, ModeMaterialized)
-	return true
+	o, err := shard.Build(p.q, in, pt, owned, func(si *database.Instance) (access.Ranked, error) {
+		if p.sum {
+			return access.BuildMaterializedSum(p.q, si, p.w), nil
+		}
+		return access.BuildMaterializedLex(p.q, si, p.l), nil
+	})
+	return o, ModeMaterialized, err
 }
 
 // fdView serves a structure built over an FD-extension Q⁺ as one for
@@ -1492,7 +1475,7 @@ func (e *Engine) CountSharded(query string, shards int, by string) (int64, Count
 		var ue *shard.UnshardableError
 		switch {
 		case err == nil:
-			if n, err := shard.Count(q, e.in, pt); err == nil {
+			if n, err := shard.Count(q, e.in, pt, pt.All()); err == nil {
 				info.Shards, info.ShardBy = pt.P, pt.VarName
 				return n, info, nil
 			}

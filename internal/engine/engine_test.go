@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"rankedaccess/internal/access"
 	"rankedaccess/internal/database"
@@ -305,6 +309,79 @@ func TestSingleFlight(t *testing.T) {
 	if st := e.Stats(); st.Misses != 1 {
 		t.Fatalf("misses = %d, want 1 (single-flight)", st.Misses)
 	}
+}
+
+// TestSingleFlightWaiterOutlivesCanceledBuilder: a shared build runs
+// under its first requester's context. When that requester is canceled
+// mid-build, a waiter whose own context is still live must retry with a
+// fresh flight and get a handle, not the stranger's cancellation.
+func TestSingleFlightWaiterOutlivesCanceledBuilder(t *testing.T) {
+	spec := Spec{Query: twoPath, Order: "x, y, z"}
+	for attempt := 0; ; attempt++ {
+		if attempt == 10 {
+			t.Fatal("every build finished before its requester was canceled")
+		}
+		// Large enough that the layered build spans many ms of waves.
+		e := New(randomInstance(10000, 1024, 31), Options{})
+		bctx, cancel := context.WithCancel(context.Background())
+		builder := make(chan error, 1)
+		go func() {
+			_, err := e.PrepareCtx(bctx, spec)
+			builder <- err
+		}()
+		waitUntil(t, func() bool {
+			e.cmu.Lock()
+			defer e.cmu.Unlock()
+			return len(e.flights) > 0
+		})
+		var h *Handle
+		waiter := make(chan error, 1)
+		go func() {
+			var err error
+			h, err = e.PrepareCtx(context.Background(), spec)
+			waiter <- err
+		}()
+		waitUntil(t, func() bool { return flightWaiters() > 0 })
+		cancel()
+		berr := <-builder
+		if err := <-waiter; err != nil || h == nil {
+			t.Fatalf("waiter with a live context = (%v, %v), want a handle", h, err)
+		}
+		if berr == nil {
+			continue // the build finished before the cancel landed
+		}
+		if !errors.Is(berr, context.Canceled) {
+			t.Fatalf("canceled builder = %v, want context.Canceled", berr)
+		}
+		if st := e.Stats(); st.Misses != 2 {
+			t.Fatalf("misses = %d, want 2 (the canceled build and the waiter's retry)", st.Misses)
+		}
+		want, err := New(randomInstance(10000, 1024, 31), Options{}).Prepare(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Total() != want.Total() {
+			t.Fatalf("retried build total %d, want %d", h.Total(), want.Total())
+		}
+		return
+	}
+}
+
+// waitUntil polls cond until it holds, failing the test after 10s.
+func waitUntil(t *testing.T, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached within 10s")
+		}
+	}
+}
+
+// flightWaiters counts the goroutines blocked waiting on a shared
+// single-flight build.
+func flightWaiters() int {
+	buf := make([]byte, 1<<20)
+	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("lru.(*Flight[...]).Wait("))
 }
 
 // TestMutationInvalidates checks that instance mutation is visible to the

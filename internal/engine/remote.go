@@ -10,8 +10,12 @@
 // data, so mutations go to the nodes' own ingestion paths.
 //
 // Node side: BuildOwned builds only the shard subset a cluster node
-// owns, mirroring build()'s classify → tractable → intractable-fallback
-// → materialized ladder over the shard package's owned builders.
+// owns, and CountOwned counts it. They run the same code as in-process
+// sharding with a smaller owned set: BuildOwned calls buildShards, the
+// one mode ladder (classify, build the tractable structure, fall back
+// to materialize-and-sort on an intractability certificate) that
+// buildLocal's sharded branch calls with every shard owned, and both
+// count paths share shard.Count.
 package engine
 
 import (
@@ -19,8 +23,6 @@ import (
 	"errors"
 	"fmt"
 
-	"rankedaccess/internal/access"
-	"rankedaccess/internal/classify"
 	"rankedaccess/internal/cq"
 	"rankedaccess/internal/order"
 	"rankedaccess/internal/shard"
@@ -128,10 +130,9 @@ type NodeBuild struct {
 }
 
 // BuildOwned builds the owned shards of a distributed spec against the
-// node's current instance, mirroring build()'s mode ladder: classify,
-// build the tractable structure, fall back to materialize-and-sort on
-// an intractability certificate. FD specs are rejected — the
-// distributed path serves the plain dichotomies only.
+// node's current instance through buildShards, the mode ladder
+// in-process sharding uses. FD specs are rejected — the distributed
+// path serves the plain dichotomies only.
 func (e *Engine) BuildOwned(ctx context.Context, s Spec, p int, shardVar string, owned []int) (*NodeBuild, error) {
 	ps, err := s.parse()
 	if err != nil {
@@ -153,48 +154,11 @@ func (e *Engine) BuildOwned(ctx context.Context, s Spec, p int, shardVar string,
 
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	nb := &NodeBuild{Version: e.version}
-
-	if ps.sum {
-		if classify.DirectAccessSum(ps.q).Tractable {
-			o, err := shard.BuildOwnedSum(ps.q, e.in, ps.w, pt, owned)
-			if err == nil {
-				nb.Owned, nb.Mode = o, ModeSum
-				return nb, nil
-			}
-			var ie *access.IntractableError
-			if !errors.As(err, &ie) {
-				return nil, err
-			}
-		}
-		o, err := shard.BuildOwnedMaterializedSum(ps.q, e.in, ps.w, pt, owned)
-		if err != nil {
-			return nil, err
-		}
-		nb.Owned, nb.Mode = o, ModeMaterialized
-		return nb, nil
-	}
-
-	if classify.DirectAccessLex(ps.q, ps.l).Tractable {
-		o, err := shard.BuildOwnedLex(ps.q, e.in, ps.l, pt, owned)
-		if err == nil {
-			nb.Owned, nb.Mode, nb.Completed = o, ModeLayeredLex, o.Completed()
-			return nb, nil
-		}
-		if ctxErr(err) {
-			return nil, err
-		}
-		var ie *access.IntractableError
-		if !errors.As(err, &ie) {
-			return nil, err
-		}
-	}
-	o, err := shard.BuildOwnedMaterializedLex(ps.q, e.in, ps.l, pt, owned)
+	o, mode, err := buildShards(ctx, ps, e.in, pt, owned)
 	if err != nil {
 		return nil, err
 	}
-	nb.Owned, nb.Mode = o, ModeMaterialized
-	return nb, nil
+	return &NodeBuild{Owned: o, Mode: mode, Completed: o.Completed(), Version: e.version}, nil
 }
 
 // CountOwned counts the owned shards' contribution to a distributed
@@ -211,6 +175,6 @@ func (e *Engine) CountOwned(query string, p int, shardVar string, owned []int) (
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	n, err := shard.CountOwned(q, e.in, pt, owned)
+	n, err := shard.Count(q, e.in, pt, owned)
 	return n, e.version, err
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"rankedaccess/internal/access"
@@ -12,125 +13,99 @@ import (
 	"rankedaccess/internal/selection"
 )
 
-// BuildLex splits the instance per pt and builds one layered
-// lexicographic structure per shard in parallel. All shards complete
-// the requested order over the same query structure, so they realize
-// the same total order; that is verified defensively and a mismatch is
-// an error. FD specs must be extended globally by the caller first
-// (extend once, shard the extension): per-shard FD plumbing would
-// price foreign candidates against incomplete local FD tables.
-func BuildLex(q *cq.Query, in *database.Instance, l order.Lex, pt Partitioning) (*Handle, error) {
-	ins := Split(q, in, pt)
-	las := make([]*access.Lex, pt.P)
-	nanos := make([]int64, pt.P)
-	err := par.DoErr(pt.P, func(i int) error {
+// Build splits the owned shards of pt out of the instance and builds
+// one part per owned shard in parallel with build — the one shard
+// builder behind both the in-process sharded handle (owned = pt.All(),
+// merged by Owned.Handle) and a cluster node's owned slice. All shards
+// complete the requested order over the same query structure, so
+// layered parts realize the same total order; that is verified
+// defensively and a mismatch is an error (the coordinator verifies it
+// again across nodes). FD specs must be extended globally by the
+// caller first (extend once, shard the extension): per-shard FD
+// plumbing would price foreign candidates against incomplete local FD
+// tables.
+func Build(q *cq.Query, in *database.Instance, pt Partitioning, owned []int,
+	build func(*database.Instance) (access.Ranked, error)) (*Owned, error) {
+	shards, err := ownedSet(pt, owned)
+	if err != nil {
+		return nil, err
+	}
+	ins := Split(q, in, pt, shards)
+	o := &Owned{
+		Query:      q,
+		Part:       pt,
+		BuildNanos: make([]int64, pt.P),
+		shards:     shards,
+		parts:      make([]access.Ranked, pt.P),
+	}
+	err = par.DoErr(len(shards), func(i int) error {
+		s := shards[i]
 		start := time.Now()
-		la, err := access.BuildLex(q, ins[i], l)
+		p, err := build(ins[s])
 		if err != nil {
 			return err
 		}
-		las[i], nanos[i] = la, time.Since(start).Nanoseconds()
+		o.parts[s], o.BuildNanos[s] = p, time.Since(start).Nanoseconds()
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	completed := las[0].Completed
-	for i := 1; i < pt.P; i++ {
-		if !sameLex(completed, las[i].Completed) {
-			return nil, fmt.Errorf("shard: internal: shard %d realized order %v, shard 0 realized %v",
-				i, las[i].Completed.Entries, completed.Entries)
+	o.completed = completedOf(o.parts[shards[0]])
+	for _, s := range shards[1:] {
+		if c := completedOf(o.parts[s]); !slices.Equal(c.Entries, o.completed.Entries) {
+			return nil, fmt.Errorf("shard: internal: shard %d realized order %v, shard %d realized %v",
+				s, c.Entries, shards[0], o.completed.Entries)
 		}
 	}
-	parts := make([]access.Ranked, pt.P)
-	for i, la := range las {
-		parts[i] = la
-	}
-	h := newHandle(q, pt, parts)
-	h.Completed = completed
-	h.BuildNanos = nanos
-	return h, nil
+	return o, nil
 }
 
-func sameLex(a, b order.Lex) bool {
-	if len(a.Entries) != len(b.Entries) {
-		return false
+// completedOf returns the realized total lex order of a layered part
+// (zero for SUM and materialized parts).
+func completedOf(p access.Ranked) order.Lex {
+	if la, ok := p.(*access.Lex); ok {
+		return la.Completed
 	}
-	for i := range a.Entries {
-		if a.Entries[i] != b.Entries[i] {
-			return false
+	return order.Lex{}
+}
+
+// ownedSet deduplicates and validates the owned shard indices,
+// returning them in ascending order.
+func ownedSet(pt Partitioning, owned []int) ([]int, error) {
+	if len(owned) == 0 {
+		return nil, fmt.Errorf("shard: no owned shards requested")
+	}
+	own := make([]bool, pt.P)
+	for _, s := range owned {
+		if s < 0 || s >= pt.P {
+			return nil, fmt.Errorf("shard: owned shard %d outside [0, %d)", s, pt.P)
+		}
+		own[s] = true
+	}
+	out := make([]int, 0, len(owned))
+	for s, ok := range own {
+		if ok {
+			out = append(out, s)
 		}
 	}
-	return true
+	return out, nil
 }
 
-// BuildSum is BuildLex for the ⟨n log n, 1⟩ SUM structures: per-shard
-// answer arrays sorted by (weight, head), merged under the same
-// comparator. FD specs must be extended globally by the caller first.
-func BuildSum(q *cq.Query, in *database.Instance, w order.Sum, pt Partitioning) (*Handle, error) {
-	ins := Split(q, in, pt)
-	sums := make([]*access.Sum, pt.P)
-	nanos := make([]int64, pt.P)
-	err := par.DoErr(pt.P, func(i int) error {
-		start := time.Now()
-		s, err := access.BuildSum(q, ins[i], w)
-		if err != nil {
-			return err
-		}
-		sums[i], nanos[i] = s, time.Since(start).Nanoseconds()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	parts := make([]access.Ranked, pt.P)
-	for i, s := range sums {
-		parts[i] = s
-	}
-	h := newHandle(q, pt, parts)
-	h.BuildNanos = nanos
-	return h, nil
-}
-
-// BuildMaterializedLex shards the materialize-and-sort fallback: each
-// shard materializes only its own slice of the (possibly intractable)
-// answer space, so the Θ(|Q(I)|) cost is split P ways across cores.
-func BuildMaterializedLex(q *cq.Query, in *database.Instance, l order.Lex, pt Partitioning) (*Handle, error) {
-	return buildMaterialized(q, in, pt, func(si *database.Instance) *access.Materialized {
-		return access.BuildMaterializedLex(q, si, l)
-	}), nil
-}
-
-// BuildMaterializedSum is BuildMaterializedLex for SUM orders.
-func BuildMaterializedSum(q *cq.Query, in *database.Instance, w order.Sum, pt Partitioning) (*Handle, error) {
-	return buildMaterialized(q, in, pt, func(si *database.Instance) *access.Materialized {
-		return access.BuildMaterializedSum(q, si, w)
-	}), nil
-}
-
-func buildMaterialized(q *cq.Query, in *database.Instance, pt Partitioning, build func(*database.Instance) *access.Materialized) *Handle {
-	ins := Split(q, in, pt)
-	parts := make([]access.Ranked, pt.P)
-	nanos := make([]int64, pt.P)
-	par.Do(pt.P, func(i int) {
-		start := time.Now()
-		parts[i] = build(ins[i])
-		nanos[i] = time.Since(start).Nanoseconds()
-	})
-	h := newHandle(q, pt, parts)
-	h.BuildNanos = nanos
-	return h
-}
-
-// Count answers |Q(I)| by splitting the instance and counting every
+// Count answers the owned shards' share of |Q(I)| — all of it when
+// owned = pt.All() — by splitting the instance and counting every owned
 // shard in parallel; shard answer sets partition Q(I), so the counts
 // sum. The per-shard counting is the same linear free-connex counting
 // the single-shard path uses.
-func Count(q *cq.Query, in *database.Instance, pt Partitioning) (int64, error) {
-	ins := Split(q, in, pt)
-	counts := make([]int64, pt.P)
-	err := par.DoErr(pt.P, func(i int) error {
-		n, err := selection.CountAnswers(q, ins[i])
+func Count(q *cq.Query, in *database.Instance, pt Partitioning, owned []int) (int64, error) {
+	shards, err := ownedSet(pt, owned)
+	if err != nil {
+		return 0, err
+	}
+	ins := Split(q, in, pt, shards)
+	counts := make([]int64, len(shards))
+	err = par.DoErr(len(shards), func(i int) error {
+		n, err := selection.CountAnswers(q, ins[shards[i]])
 		counts[i] = n
 		return err
 	})

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rankedaccess/internal/access"
@@ -36,7 +37,7 @@ func TestEmptyShardEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := BuildLex(q, in, l, pt)
+	sh, err := buildAll(q, in, pt, lexParts(q, l))
 	if err != nil {
 		t.Fatalf("BuildLex with empty shards: %v", err)
 	}
@@ -59,7 +60,7 @@ func TestEmptyShardEdgeCases(t *testing.T) {
 	if _, err := sh.AnswerAt(bg, nil, 1); !errors.Is(err, access.ErrOutOfBound) {
 		t.Fatalf("Access(1) = %v, want ErrOutOfBound", err)
 	}
-	if n, err := Count(q, in, pt); err != nil || n != 1 {
+	if n, err := Count(q, in, pt, pt.All()); err != nil || n != 1 {
 		t.Fatalf("Count = %d, %v, want 1", n, err)
 	}
 
@@ -81,7 +82,7 @@ func TestEmptyShardEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := order.IdentitySum(qs.Head...)
-	shs, err := BuildSum(qs, ins, w, pts)
+	shs, err := buildAll(qs, ins, pts, sumParts(qs, w))
 	if err != nil || shs.Total() != 1 {
 		t.Fatalf("BuildSum with empty shards: err %v", err)
 	}
@@ -94,7 +95,7 @@ func TestEmptyShardEdgeCases(t *testing.T) {
 	emptyIn := database.NewInstance()
 	emptyIn.SetRelation("R", database.NewRelation(2))
 	emptyIn.SetRelation("S", database.NewRelation(2))
-	sh, err = BuildLex(q, emptyIn, l, pt)
+	sh, err = buildAll(q, emptyIn, pt, lexParts(q, l))
 	if err != nil {
 		t.Fatalf("BuildLex over empty instance: %v", err)
 	}
@@ -104,14 +105,14 @@ func TestEmptyShardEdgeCases(t *testing.T) {
 	if _, err := sh.AnswerAt(bg, nil, 0); !errors.Is(err, access.ErrOutOfBound) {
 		t.Fatalf("empty instance Access(0) = %v, want ErrOutOfBound", err)
 	}
-	if n, err := Count(q, emptyIn, pt); err != nil || n != 0 {
+	if n, err := Count(q, emptyIn, pt, pt.All()); err != nil || n != 0 {
 		t.Fatalf("empty instance Count = %d, %v", n, err)
 	}
 }
 
 func mustBuildMatLex(t *testing.T, q *cq.Query, in *database.Instance, l order.Lex, pt Partitioning) *Handle {
 	t.Helper()
-	sh, err := BuildMaterializedLex(q, in, l, pt)
+	sh, err := buildAll(q, in, pt, matLexParts(q, l))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestSplitP1Degenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs := Split(q, in, pt)
+	outs := Split(q, in, pt, pt.All())
 	if len(outs) != 1 {
 		t.Fatalf("Split P=1 returned %d instances", len(outs))
 	}
@@ -147,7 +148,7 @@ func TestSplitP1Degenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := BuildLex(q, in, l, pt)
+	sh, err := buildAll(q, in, pt, lexParts(q, l))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,87 +172,128 @@ func TestSplitP1Degenerate(t *testing.T) {
 	}
 }
 
-// TestOwnedBuild pins the node-side builders: building a subset of the
-// shards yields the same per-shard totals, answers, and ranks the full
-// in-process sharded handle computes for those shards.
+// TestOwnedBuild pins the node-side builds for every structure kind:
+// building a subset of the shards yields the same per-shard totals,
+// answers, and ranks the all-shards build computes for those shards,
+// and the owned counts of a partition of the shards sum to the global
+// count.
 func TestOwnedBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	q, in := pathQuery(t, rng, 400, 30)
-	pt, err := Choose(q, "", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := order.ParseLex(q, "x, y, z")
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := BuildLex(q, in, l, pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	owned := []int{1, 3}
-	o, err := BuildOwnedLex(q, in, l, pt, owned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := o.Shards(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("owned shards = %v", got)
-	}
-	if !sameLex(o.Completed(), full.Completed) {
-		t.Fatalf("owned completed %v, full %v", o.Completed().Entries, full.Completed.Entries)
-	}
-	totals := full.PartTotals()
-	for _, s := range owned {
-		n, err := o.Total(s)
+	keyed := cq.MustParse("Q(x, y) :- R(x, y), S(y, z)") // SUM-tractable: R holds the head
+	x, _ := q.VarByName("x")
+	z, _ := q.VarByName("z")
+	lexOf := func(spec string) order.Lex {
+		l, err := order.ParseLex(q, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != totals[s] {
-			t.Fatalf("shard %d total %d, want %d", s, n, totals[s])
-		}
-		for k := int64(0); k < n; k += 7 {
-			a, err := o.Access(s, k)
+		return l
+	}
+	kx, _ := keyed.VarByName("x")
+	ky, _ := keyed.VarByName("y")
+	kinds := []struct {
+		name  string
+		q     *cq.Query
+		build func(*database.Instance) (access.Ranked, error)
+	}{
+		{"lex", q, lexParts(q, lexOf("x, y, z"))},
+		{"sum", keyed, sumParts(keyed, order.IdentitySum(kx, ky))},
+		{"materialized-lex", q, matLexParts(q, lexOf("z desc"))},
+		{"materialized-sum", q, matSumParts(q, order.IdentitySum(x, z))},
+	}
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			q := kind.q
+			pt, err := Choose(q, "", 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, exact, err := o.Rank(s, a)
-			if err != nil || !exact || r != k {
-				t.Fatalf("shard %d Rank(Access(%d)) = (%d, %v, %v)", s, k, r, exact, err)
+			all, err := Build(q, in, pt, pt.All(), kind.build)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		rows, err := o.Range(s, 0, min64(n, 10))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int64(len(rows)) != min64(n, 10) {
-			t.Fatalf("shard %d Range len %d", s, len(rows))
-		}
-	}
-	if _, err := o.Total(0); err == nil {
-		t.Fatal("probing a non-owned shard must error")
-	}
-	if _, err := o.Access(2, 0); err == nil {
-		t.Fatal("accessing a non-owned shard must error")
-	}
-	if _, err := BuildOwnedLex(q, in, l, pt, []int{9}); err == nil {
-		t.Fatal("owned shard outside [0, P) must error")
-	}
+			full, err := all.Handle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			totals := full.PartTotals()
+			for _, owned := range [][]int{{0, 2}, {1, 3}} {
+				o, err := Build(q, in, pt, owned, kind.build)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := o.Shards(); !slices.Equal(got, owned) {
+					t.Fatalf("owned shards = %v, want %v", got, owned)
+				}
+				if !slices.Equal(o.Completed().Entries, full.Completed.Entries) {
+					t.Fatalf("owned completed %v, full %v", o.Completed().Entries, full.Completed.Entries)
+				}
+				if _, err := o.Handle(); err == nil {
+					t.Fatal("merging a strict subset of the shards must error")
+				}
+				for _, s := range owned {
+					n, err := o.Total(s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n != totals[s] {
+						t.Fatalf("shard %d total %d, want %d", s, n, totals[s])
+					}
+					for k := int64(0); k < n; k += 7 {
+						a, err := o.Access(s, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := all.Access(s, k)
+						if err != nil || !slices.Equal(a, want) {
+							t.Fatalf("shard %d Access(%d) = %v, all-shards build %v (%v)", s, k, a, want, err)
+						}
+						r, exact, err := o.Rank(s, a)
+						if err != nil || !exact || r != k {
+							t.Fatalf("shard %d Rank(Access(%d)) = (%d, %v, %v)", s, k, r, exact, err)
+						}
+					}
+					rows, err := o.Range(s, 0, min64(n, 10))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if int64(len(rows)) != min64(n, 10) {
+						t.Fatalf("shard %d Range len %d", s, len(rows))
+					}
+				}
+				notOwned := 3 - owned[0] // 3 for {0, 2}, 2 for {1, 3}
+				if _, err := o.Total(notOwned); err == nil {
+					t.Fatal("probing a non-owned shard must error")
+				}
+				if _, err := o.Access(notOwned, 0); err == nil {
+					t.Fatal("accessing a non-owned shard must error")
+				}
+			}
+			if _, err := Build(q, in, pt, []int{9}, kind.build); err == nil {
+				t.Fatal("owned shard outside [0, P) must error")
+			}
 
-	// CountOwned over a partition of the shards sums to the global count.
-	nAll, err := Count(q, in, pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n13, err := CountOwned(q, in, pt, []int{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n02, err := CountOwned(q, in, pt, []int{0, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n13+n02 != nAll {
-		t.Fatalf("CountOwned partition: %d + %d != %d", n13, n02, nAll)
+			// Count over a partition of the shards sums to the global count.
+			nAll, err := Count(q, in, pt, pt.All())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nAll != full.Total() {
+				t.Fatalf("all-shards count %d, handle total %d", nAll, full.Total())
+			}
+			n13, err := Count(q, in, pt, []int{1, 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n02, err := Count(q, in, pt, []int{0, 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n13+n02 != nAll {
+				t.Fatalf("owned count partition: %d + %d != %d", n13, n02, nAll)
+			}
+		})
 	}
 }
 

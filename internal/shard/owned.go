@@ -3,34 +3,32 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sort"
-	"time"
+	"slices"
 
 	"rankedaccess/internal/access"
 	"rankedaccess/internal/cq"
-	"rankedaccess/internal/database"
 	"rankedaccess/internal/order"
-	"rankedaccess/internal/par"
-	"rankedaccess/internal/selection"
 )
 
-// Owned holds the per-shard structures a single cluster node builds
-// for the shard indices it owns — the node-side half of the
-// distributed handle whose coordinator-side half is NewRemote. All
-// probes address shards by their global index; asking for a shard the
-// node does not own is an error, never a silent wrong answer.
+// Owned holds the per-shard structures built for a set of owned shard
+// indices: a cluster node's slice of a distributed handle (whose
+// coordinator-side half is NewRemote), or every shard of an in-process
+// sharded handle (see Handle). All probes address shards by their
+// global index; asking for a shard not owned is an error, never a
+// silent wrong answer.
 type Owned struct {
 	// Query is the parsed query the parts serve.
 	Query *cq.Query
 	// Part is the cluster-wide partitioning (P is the global shard
 	// count, not the owned count).
 	Part Partitioning
-	// BuildNanos records each owned shard's build wall time, keyed by
-	// global shard index.
-	BuildNanos map[int]int64
+	// BuildNanos records each owned shard's build wall time, indexed
+	// by global shard (zero for shards not owned).
+	BuildNanos []int64
 
 	completed order.Lex
-	parts     map[int]access.Ranked
+	shards    []int           // owned indices, ascending
+	parts     []access.Ranked // indexed by global shard; nil if not owned
 }
 
 // Completed returns the realized total lex order of layered builds
@@ -38,21 +36,24 @@ type Owned struct {
 func (o *Owned) Completed() order.Lex { return o.completed }
 
 // Shards returns the owned shard indices in ascending order.
-func (o *Owned) Shards() []int {
-	out := make([]int, 0, len(o.parts))
-	for s := range o.parts {
-		out = append(out, s)
+func (o *Owned) Shards() []int { return slices.Clone(o.shards) }
+
+// Handle merges the parts into one ranked accessor over all P shards —
+// the in-process sharded handle. It fails unless every shard is owned.
+func (o *Owned) Handle() (*Handle, error) {
+	if len(o.shards) != o.Part.P {
+		return nil, fmt.Errorf("shard: %d of %d shards owned; a merged handle needs all of them", len(o.shards), o.Part.P)
 	}
-	sort.Ints(out)
-	return out
+	h := newHandle(o.Query, o.Part, o.parts)
+	h.Completed, h.BuildNanos = o.completed, o.BuildNanos
+	return h, nil
 }
 
 func (o *Owned) part(shard int) (access.Ranked, error) {
-	p, ok := o.parts[shard]
-	if !ok {
+	if shard < 0 || shard >= len(o.parts) || o.parts[shard] == nil {
 		return nil, fmt.Errorf("shard: shard %d is not owned by this node", shard)
 	}
-	return p, nil
+	return o.parts[shard], nil
 }
 
 // Total returns one owned shard's answer count.
@@ -133,133 +134,4 @@ func (o *Owned) Range(shard int, k0, k1 int64) ([]order.Answer, error) {
 		out = append(out, flat[start:len(flat):len(flat)])
 	}
 	return out, nil
-}
-
-// ownedSet deduplicates and validates the owned shard indices.
-func ownedSet(pt Partitioning, owned []int) ([]int, error) {
-	if len(owned) == 0 {
-		return nil, fmt.Errorf("shard: no owned shards requested")
-	}
-	set := make(map[int]bool, len(owned))
-	for _, s := range owned {
-		if s < 0 || s >= pt.P {
-			return nil, fmt.Errorf("shard: owned shard %d outside [0, %d)", s, pt.P)
-		}
-		set[s] = true
-	}
-	out := make([]int, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out, nil
-}
-
-// buildOwned splits the owned shards and builds one part per shard in
-// parallel via the given per-shard builder.
-func buildOwned(q *cq.Query, in *database.Instance, pt Partitioning, owned []int,
-	build func(*database.Instance) (access.Ranked, order.Lex, error)) (*Owned, error) {
-	shards, err := ownedSet(pt, owned)
-	if err != nil {
-		return nil, err
-	}
-	ins := SplitOwned(q, in, pt, shards)
-	parts := make([]access.Ranked, len(shards))
-	lexes := make([]order.Lex, len(shards))
-	nanos := make([]int64, len(shards))
-	err = par.DoErr(len(shards), func(i int) error {
-		start := time.Now()
-		p, l, err := build(ins[shards[i]])
-		if err != nil {
-			return err
-		}
-		parts[i], lexes[i] = p, l
-		nanos[i] = time.Since(start).Nanoseconds()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := 1; i < len(shards); i++ {
-		if !sameLex(lexes[0], lexes[i]) {
-			return nil, fmt.Errorf("shard: internal: owned shard %d realized order %v, shard %d realized %v",
-				shards[i], lexes[i].Entries, shards[0], lexes[0].Entries)
-		}
-	}
-	o := &Owned{
-		Query:      q,
-		Part:       pt,
-		completed:  lexes[0],
-		parts:      make(map[int]access.Ranked, len(shards)),
-		BuildNanos: make(map[int]int64, len(shards)),
-	}
-	for i, s := range shards {
-		o.parts[s] = parts[i]
-		o.BuildNanos[s] = nanos[i]
-	}
-	return o, nil
-}
-
-// BuildOwnedLex builds the owned shards' layered lexicographic
-// structures. Like BuildLex, all shards must realize the same
-// completed order; the coordinator additionally verifies it ACROSS
-// nodes from the Prepare responses.
-func BuildOwnedLex(q *cq.Query, in *database.Instance, l order.Lex, pt Partitioning, owned []int) (*Owned, error) {
-	return buildOwned(q, in, pt, owned, func(si *database.Instance) (access.Ranked, order.Lex, error) {
-		la, err := access.BuildLex(q, si, l)
-		if err != nil {
-			return nil, order.Lex{}, err
-		}
-		return la, la.Completed, nil
-	})
-}
-
-// BuildOwnedSum builds the owned shards' SUM structures.
-func BuildOwnedSum(q *cq.Query, in *database.Instance, w order.Sum, pt Partitioning, owned []int) (*Owned, error) {
-	return buildOwned(q, in, pt, owned, func(si *database.Instance) (access.Ranked, order.Lex, error) {
-		s, err := access.BuildSum(q, si, w)
-		if err != nil {
-			return nil, order.Lex{}, err
-		}
-		return s, order.Lex{}, nil
-	})
-}
-
-// BuildOwnedMaterializedLex builds the owned shards' materialize-and-
-// sort fallbacks under a lex order.
-func BuildOwnedMaterializedLex(q *cq.Query, in *database.Instance, l order.Lex, pt Partitioning, owned []int) (*Owned, error) {
-	return buildOwned(q, in, pt, owned, func(si *database.Instance) (access.Ranked, order.Lex, error) {
-		return access.BuildMaterializedLex(q, si, l), order.Lex{}, nil
-	})
-}
-
-// BuildOwnedMaterializedSum is BuildOwnedMaterializedLex for SUM.
-func BuildOwnedMaterializedSum(q *cq.Query, in *database.Instance, w order.Sum, pt Partitioning, owned []int) (*Owned, error) {
-	return buildOwned(q, in, pt, owned, func(si *database.Instance) (access.Ranked, order.Lex, error) {
-		return access.BuildMaterializedSum(q, si, w), order.Lex{}, nil
-	})
-}
-
-// CountOwned counts the owned shards' answers (their sum — the node's
-// contribution to the global count) without building any structure.
-func CountOwned(q *cq.Query, in *database.Instance, pt Partitioning, owned []int) (int64, error) {
-	shards, err := ownedSet(pt, owned)
-	if err != nil {
-		return 0, err
-	}
-	ins := SplitOwned(q, in, pt, shards)
-	counts := make([]int64, len(shards))
-	err = par.DoErr(len(shards), func(i int) error {
-		n, err := selection.CountAnswers(q, ins[shards[i]])
-		counts[i] = n
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, n := range counts {
-		total += n
-	}
-	return total, nil
 }

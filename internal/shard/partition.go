@@ -56,6 +56,16 @@ type Partitioning struct {
 	VarName string
 }
 
+// All returns every shard index 0 … P-1: the owned set of an
+// in-process sharded build.
+func (pt Partitioning) All() []int {
+	all := make([]int, pt.P)
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
 // ShardOf maps a partition-variable value to its shard: a splitmix64
 // finalizer over the value, reduced mod p. Exported so tests and tools
 // can predict tuple placement.
@@ -142,35 +152,21 @@ func atomHasVar(at *cq.Atom, v cq.VarID) bool {
 	return false
 }
 
-// Split partitions the relations the query references into pt.P shard
-// instances: relations whose atom contains the partition variable are
-// hash-split on that column, the rest are shared by reference (the
-// caller must not mutate them while shard structures are live). The
-// value dictionary is shared. Relations absent from the instance stay
-// absent from every shard. Per-relation splitting fans out over the
-// bounded worker pool.
-func Split(q *cq.Query, in *database.Instance, pt Partitioning) []*database.Instance {
+// Split partitions the relations the query references into the owned
+// shard instances of pt, indexed by global shard: nil for shards not in
+// owned, which must hold indices in [0, pt.P). Relations whose atom
+// contains the partition variable are hash-split on that column, and
+// tuples hashing to shards not owned are skipped, so a node owning one
+// shard of P pays 1/P of the split memory. The rest are shared by
+// reference (the caller must not mutate them while shard structures are
+// live), and so is every relation when P = 1: every tuple hashes to
+// shard 0, so the single shard IS the original instance and its
+// structure is exactly the unsharded one, built over the same storage.
+// The value dictionary is shared. Relations absent from the instance
+// stay absent from every shard. Per-relation splitting fans out over
+// the bounded worker pool.
+func Split(q *cq.Query, in *database.Instance, pt Partitioning, owned []int) []*database.Instance {
 	tasks := splitTasks(q, pt)
-	if pt.P == 1 {
-		// Degenerate partitioning: every tuple hashes to shard 0, so the
-		// single shard IS the original instance. Share each relation by
-		// reference instead of copying — the resulting structure is then
-		// exactly the unsharded one, built over the same storage.
-		out := database.NewInstance()
-		out.Dict = in.Dict
-		for _, t := range tasks {
-			if r := in.Relation(t.name); r != nil {
-				out.SetRelation(t.name, r)
-			}
-		}
-		return []*database.Instance{out}
-	}
-	outs := make([]*database.Instance, pt.P)
-	for i := range outs {
-		outs[i] = database.NewInstance()
-		outs[i].Dict = in.Dict
-	}
-
 	split := make([][]*database.Relation, len(tasks))
 	par.Do(len(tasks), func(ti int) {
 		t := tasks[ti]
@@ -178,30 +174,33 @@ func Split(q *cq.Query, in *database.Instance, pt Partitioning) []*database.Inst
 		if r == nil {
 			return
 		}
+		hashed := t.col >= 0 && pt.P > 1
 		rels := make([]*database.Relation, pt.P)
-		if t.col < 0 {
-			for i := range rels {
-				rels[i] = r
+		for _, s := range owned {
+			rels[s] = r
+			if hashed {
+				rels[s] = database.NewRelation(r.Arity())
 			}
-			split[ti] = rels
-			return
 		}
-		for i := range rels {
-			rels[i] = database.NewRelation(r.Arity())
-		}
-		n := r.Len()
-		for i := 0; i < n; i++ {
-			tu := r.Tuple(i)
-			rels[ShardOf(tu[t.col], pt.P)].Append(tu...)
+		if hashed {
+			n := r.Len()
+			for i := 0; i < n; i++ {
+				tu := r.Tuple(i)
+				if dst := rels[ShardOf(tu[t.col], pt.P)]; dst != nil {
+					dst.Append(tu...)
+				}
+			}
 		}
 		split[ti] = rels
 	})
-	for ti, t := range tasks {
-		if split[ti] == nil {
-			continue
-		}
-		for i := range outs {
-			outs[i].SetRelation(t.name, split[ti][i])
+	outs := make([]*database.Instance, pt.P)
+	for _, s := range owned {
+		outs[s] = database.NewInstance()
+		outs[s].Dict = in.Dict
+		for ti, t := range tasks {
+			if split[ti] != nil {
+				outs[s].SetRelation(t.name, split[ti][s])
+			}
 		}
 	}
 	return outs
@@ -234,60 +233,4 @@ func splitTasks(q *cq.Query, pt Partitioning) []splitTask {
 		tasks = append(tasks, splitTask{name: at.Rel, col: col})
 	}
 	return tasks
-}
-
-// SplitOwned is Split restricted to a subset of the shards: only the
-// owned shard instances are materialized, so a node in a P-way cluster
-// holding one shard pays 1/P of the split memory, not all of it.
-// Tuples hashing to non-owned shards are simply skipped; replicated
-// relations are still shared by reference. The result maps shard index
-// to instance for exactly the requested owned indices (deduplicated).
-func SplitOwned(q *cq.Query, in *database.Instance, pt Partitioning, owned []int) map[int]*database.Instance {
-	ownSet := make(map[int]bool, len(owned))
-	for _, s := range owned {
-		ownSet[s] = true
-	}
-	outs := make(map[int]*database.Instance, len(ownSet))
-	for s := range ownSet {
-		outs[s] = database.NewInstance()
-		outs[s].Dict = in.Dict
-	}
-	tasks := splitTasks(q, pt)
-	type result struct{ rels map[int]*database.Relation }
-	split := make([]result, len(tasks))
-	par.Do(len(tasks), func(ti int) {
-		t := tasks[ti]
-		r := in.Relation(t.name)
-		if r == nil {
-			return
-		}
-		rels := make(map[int]*database.Relation, len(ownSet))
-		if t.col < 0 {
-			for s := range ownSet {
-				rels[s] = r
-			}
-			split[ti] = result{rels: rels}
-			return
-		}
-		for s := range ownSet {
-			rels[s] = database.NewRelation(r.Arity())
-		}
-		n := r.Len()
-		for i := 0; i < n; i++ {
-			tu := r.Tuple(i)
-			if dst, ok := rels[ShardOf(tu[t.col], pt.P)]; ok {
-				dst.Append(tu...)
-			}
-		}
-		split[ti] = result{rels: rels}
-	})
-	for ti, t := range tasks {
-		if split[ti].rels == nil {
-			continue
-		}
-		for s, rel := range split[ti].rels {
-			outs[s].SetRelation(t.name, rel)
-		}
-	}
-	return outs
 }

@@ -83,6 +83,34 @@ func TestChoose(t *testing.T) {
 	}
 }
 
+// buildAll is the in-process sharded build: every shard owned, the
+// parts merged into one handle.
+func buildAll(q *cq.Query, in *database.Instance, pt Partitioning, build func(*database.Instance) (access.Ranked, error)) (*Handle, error) {
+	o, err := Build(q, in, pt, pt.All(), build)
+	if err != nil {
+		return nil, err
+	}
+	return o.Handle()
+}
+
+// lexParts, sumParts, matLexParts and matSumParts are the per-shard
+// builders of the four structure kinds.
+func lexParts(q *cq.Query, l order.Lex) func(*database.Instance) (access.Ranked, error) {
+	return func(si *database.Instance) (access.Ranked, error) { return access.BuildLexCtx(bg, q, si, l) }
+}
+
+func sumParts(q *cq.Query, w order.Sum) func(*database.Instance) (access.Ranked, error) {
+	return func(si *database.Instance) (access.Ranked, error) { return access.BuildSum(q, si, w) }
+}
+
+func matLexParts(q *cq.Query, l order.Lex) func(*database.Instance) (access.Ranked, error) {
+	return func(si *database.Instance) (access.Ranked, error) { return access.BuildMaterializedLex(q, si, l), nil }
+}
+
+func matSumParts(q *cq.Query, w order.Sum) func(*database.Instance) (access.Ranked, error) {
+	return func(si *database.Instance) (access.Ranked, error) { return access.BuildMaterializedSum(q, si, w), nil }
+}
+
 func TestSplitPlacement(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	q, in := pathQuery(t, rng, 300, 40)
@@ -90,7 +118,7 @@ func TestSplitPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins := Split(q, in, pt)
+	ins := Split(q, in, pt, pt.All())
 	if len(ins) != 3 {
 		t.Fatalf("got %d shard instances, want 3", len(ins))
 	}
@@ -198,7 +226,7 @@ func TestShardedLexMatchesSingle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sh, err := BuildLex(q, in, l, pt)
+			sh, err := buildAll(q, in, pt, lexParts(q, l))
 			if err != nil {
 				t.Fatalf("P=%d: %v", p, err)
 			}
@@ -247,7 +275,7 @@ func TestEmptyShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := BuildLex(q, in, l, pt)
+	sh, err := buildAll(q, in, pt, lexParts(q, l))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +305,7 @@ func TestShardedSumMatchesSingle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh, err := BuildSum(q, in, w, pt)
+		sh, err := buildAll(q, in, pt, sumParts(q, w))
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -313,7 +341,7 @@ func TestShardedMaterializedMatchesSingle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh, err := BuildMaterializedLex(q, in, l, pt)
+		sh, err := buildAll(q, in, pt, matLexParts(q, l))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +375,7 @@ func TestShardedMaterializedSumMatchesSingle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh, err := BuildMaterializedSum(q, in, w, pt)
+		sh, err := buildAll(q, in, pt, matSumParts(q, w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,7 +426,7 @@ func TestShardedCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Count(q, in, pt)
+		got, err := Count(q, in, pt, pt.All())
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
